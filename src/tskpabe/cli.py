@@ -17,7 +17,14 @@ from .envelope import AccessDeniedError, IntegrityError, UnknownIssuerError
 from .groups import DEFAULT_MODULUS, parse_suite
 from .lsss import compile_policy
 from .ndnsim import Simulation, metrics_from_events, parse_scenario
-from .scheme import Mode, TimedKpAbe, component_counts, predicted_counts, predicted_pairings
+from .scheme import (
+    Mode,
+    TimedKpAbe,
+    UnknownAttributeError,
+    component_counts,
+    predicted_counts,
+    predicted_pairings,
+)
 from .subscription import RevocationLedger, derive_pseudo_id
 from .timetree import GREGORIAN, IDEALIZED_31, TimeCover, TimeNode, TimeWindow, parse_day, set_cover
 from .wire import WireError
@@ -616,6 +623,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UnknownAttributeError as exc:
+        print(f"usage error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except AccessDeniedError as exc:
         print(f"access denied: {exc}", file=sys.stderr)

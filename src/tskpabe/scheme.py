@@ -61,6 +61,10 @@ class ModeMismatchError(ValueError):
     """Keys and ciphertexts from different modes are incompatible."""
 
 
+class UnknownAttributeError(KeyError):
+    """An attribute label outside the public parameters' universe."""
+
+
 @dataclass(frozen=True)
 class PublicParams:
     suite: BilinearSuite
@@ -81,7 +85,7 @@ class PublicParams:
         try:
             return self.h_beta[self.universe.index(attribute)]
         except ValueError:
-            raise KeyError(f"attribute {attribute!r} not in the universe") from None
+            raise UnknownAttributeError(f"attribute {attribute!r} not in the universe") from None
 
     def source_elements(self) -> list[SourceElement]:
         return [

@@ -527,3 +527,43 @@ def test_keygen_needs_identity(capsys, tmp_path, keyring):
     )
     assert code == 1
     assert "need --id or --user" in err
+
+
+def test_encrypt_unknown_attribute_is_usage_error(capsys, tmp_path, keyring):
+    pk, _, _ = keyring
+    code, _, err = run(
+        capsys,
+        "encrypt",
+        "--pk",
+        str(pk),
+        "--attrs",
+        "gold,bogus",
+        "--nodes",
+        "2022-08",
+        "--out",
+        str(tmp_path / "ct.bin"),
+    )
+    assert code == 1
+    assert err == "usage error: attribute 'bogus' not in the universe\n"
+
+
+def test_keygen_unknown_attribute_is_usage_error(capsys, tmp_path, keyring):
+    pk, mk, _ = keyring
+    code, _, err = run(
+        capsys,
+        "keygen",
+        "--pk",
+        str(pk),
+        "--mk",
+        str(mk),
+        "--policy",
+        "gold AND bogus",
+        "--nodes",
+        "2022-08",
+        "--user",
+        "alice",
+        "--out",
+        str(tmp_path / "sk2.bin"),
+    )
+    assert code == 1
+    assert err == "usage error: attribute 'bogus' not in the universe\n"

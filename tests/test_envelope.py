@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -208,6 +209,55 @@ def test_package_serialization_roundtrip(world):
     assert open_package(scheme, pk, loaded, entitled) == content
 
 
+# Known answers: sealed chunks and encoded packages are a wire format, so
+# any speed-up of the DEM or the codec must reproduce these bytes exactly.
+KAT_KEY = bytes(range(32))
+KAT_NONCE = bytes(range(100, 120))
+
+
+def kat_plaintext(length):
+    return bytes((i * 131 + 7) % 256 for i in range(length))
+
+
+SEALED_SHA256 = {
+    0: "b71052c60795d1a629389f3cc98cd5ab26e03049e316f4e5eac08100fa752010",
+    1: "8dbcdc01cb93dc4edee1219dcc883d946e923f39e98c6f03647edf56d93537fb",
+    63: "5bd2195c8bf76ab1cd150a5ca7ce21271a794164f9ae7af92d617b32d7d88806",
+    64: "cbb833987e3e6c87bd49a7827cb4e5af675ba7caecd58786ce793be3440ab301",
+    65: "dcf0affb576017dc0e8a548267e3644422f5d940e6db672dd361851e941ecf69",
+    4096: "a2ed9ddb34a0cf3a4da385f2f29fd376ca645be0110f12bd61c26cd480a66112",
+    70000: "95c472fb1c4dee4cc365412a0e32beb315109fcb70040077ec60113e916a93a7",
+}
+
+
+@pytest.mark.parametrize("length", sorted(SEALED_SHA256))
+def test_stream_dem_known_answers(length):
+    dem = StreamDem()
+    plaintext = kat_plaintext(length)
+    sealed = dem.seal(KAT_KEY, KAT_NONCE, plaintext)
+    assert len(sealed) == length + StreamDem.TAG_BYTES
+    assert hashlib.sha256(sealed).hexdigest() == SEALED_SHA256[length]
+    assert dem.open(KAT_KEY, KAT_NONCE, sealed) == plaintext
+
+
+def test_package_encoding_known_answer(world):
+    scheme, pk, entitled, _ = world
+    content = kat_plaintext((1 << 20) + 4321)
+    package = seal(
+        scheme, pk, "kat.bin", content, content_cover(), ["gold", "family"], rng=Random(99),
+        chunk_size=4096,
+    )
+    data = package_to_bytes(package)
+    assert len(data) == 1071629
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "c839aeedd04c457ea912b5079fabec4c2fad70b33bb56767eecff6da968c3a15"
+    )
+    loaded = package_from_bytes(data)
+    assert loaded == package
+    assert open_package(scheme, pk, loaded, entitled) == content
+
+
 # ----------------------------------------------------------------------
 # Signed directory.
 # ----------------------------------------------------------------------
@@ -275,6 +325,16 @@ def test_directory_serialization_roundtrip():
     loaded = directory_from_bytes(directory_to_bytes(directory))
     assert loaded == directory
     assert verify_directory(loaded, {"rsu1": b"secret-key"})
+
+
+def test_directory_encoding_known_answer():
+    directory = build_directory(entries(), KeyedDigestSigner("rsu1", b"secret-key"))
+    data = directory_to_bytes(directory)
+    assert len(data) == 237
+    assert (
+        hashlib.sha256(data).hexdigest()
+        == "f000d95329008cb4f543f6b6c5ee852ee2dfc2e5d3a2c6a2e14adb91102d7a77"
+    )
 
 
 def test_directory_rejects_duplicate_names():
