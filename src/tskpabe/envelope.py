@@ -6,13 +6,12 @@ chunk by chunk so receivers can verify the portions they already hold.
 Each chunk is independently authenticated; the manifest pins the plaintext
 digest, the per-chunk digests, and the wrapped key.
 
-The data-encapsulation mechanism is a pluggable contract.  The built-in
-one is a keyed blake2b stream with an appended keyed tag: deterministic
-given the nonce, authenticated, and entirely unremarkable.  Its sealed
-bytes are a fixed format, pinned by known-answer tests; the hashing and
-the XOR run in C, which gives about 35-45 MiB/s each way on a 2-vCPU
-machine with CPython 3.11.  Swap in a real AEAD for anything beyond
-simulation.
+The data-encapsulation mechanism is a keyed blake2b stream with an
+appended keyed tag: deterministic given the nonce, authenticated, and
+entirely unremarkable.  Its sealed bytes are a fixed format, pinned by
+known-answer tests; the hashing and the XOR run in C, which gives about
+35-45 MiB/s each way on a 2-vCPU machine with CPython 3.11.  Swap in a
+real AEAD for anything beyond simulation.
 
 The directory mirrors the roadside workflow: a sorted list of resource
 names with file hashes, timestamps and descriptions, signed by its issuer
@@ -107,7 +106,7 @@ class StreamDem:
         return self._xor_stream(key, nonce, body)
 
 
-_DEFAULT_DEM = StreamDem()
+_DEM = StreamDem()
 
 
 def _chunk_nonce(package_nonce: bytes, index: int) -> bytes:
@@ -152,7 +151,6 @@ def seal(
     *,
     rng: Random,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    dem: StreamDem = _DEFAULT_DEM,
 ) -> ContentPackage:
     if chunk_size < 1:
         raise ValueError("chunk size must be >= 1")
@@ -161,7 +159,7 @@ def seal(
     key = derive_content_key(message)
     nonce = rng.randbytes(_NONCE_BYTES)
     sealed = tuple(
-        dem.seal(key, _chunk_nonce(nonce, i), chunk)
+        _DEM.seal(key, _chunk_nonce(nonce, i), chunk)
         for i, chunk in enumerate(_split(content, chunk_size))
     )
     return ContentPackage(
@@ -177,12 +175,7 @@ def seal(
 
 
 def open_package(
-    scheme: TimedKpAbe,
-    pk: PublicParams,
-    package: ContentPackage,
-    sk: PrivateKey,
-    *,
-    dem: StreamDem = _DEFAULT_DEM,
+    scheme: TimedKpAbe, pk: PublicParams, package: ContentPackage, sk: PrivateKey
 ) -> bytes:
     """Verify, unwrap and decrypt.  Chunk digests are checked first, the
     way a receiver validates portions before spending time on decryption."""
@@ -200,7 +193,7 @@ def open_package(
     parts = []
     for index, chunk in enumerate(package.chunks):
         try:
-            parts.append(dem.open(key, _chunk_nonce(package.nonce, index), chunk))
+            parts.append(_DEM.open(key, _chunk_nonce(package.nonce, index), chunk))
         except IntegrityError as exc:
             raise IntegrityError(
                 f"authentication failed in chunk {index}", part=f"chunk {index}"

@@ -1,22 +1,21 @@
-"""Symmetric bilinear-group algebra with a transparent test instantiation.
+"""Symmetric bilinear-group algebra over a transparent test instantiation.
 
-The abstract contract is a Type-1 pairing: one source group of prime order
-p with generator g, a target group, and a symmetric bilinear map
+The scheme needs a Type-1 pairing: one source group of prime order p with
+generator g, a target group, and a symmetric bilinear map
 pair(g^x, g^y) = e(g, g)^(x*y).
 
-The only built-in instantiation is the *transparent* suite: every element
-literally stores its discrete log (to base g in the source group, to base
-e(g, g) in the target group), so pairings, exponentiations and products
-reduce to exact arithmetic mod p.  This makes group equations checkable as
-integer identities, which is what the algebra auditor and the test suite
-rely on.  It is deliberately non-hiding and provides no security at all.
+The one suite here is *transparent*: every element literally stores its
+discrete log (to base g in the source group, to base e(g, g) in the target
+group), so pairings, exponentiations and products reduce to exact
+arithmetic mod p.  This makes group equations checkable as integer
+identities, which is what the algebra auditor and the test suite rely on.
+It is deliberately non-hiding and provides no security at all.
 
-Every suite carries operation counters so callers can account for the
-exact number of pairings and exponentiations a computation performed.
+The suite carries operation counters so callers can account for the exact
+number of pairings and exponentiations a computation performed.
 """
 
 import hashlib
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from random import Random
 
@@ -28,10 +27,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class SuiteMismatchError(ValueError):
     """Elements or scalars from different suites were mixed."""
-
-
-class UnsupportedSuiteError(TypeError):
-    """The requested operation needs the transparent instantiation."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -166,7 +161,7 @@ class _Element:
 
     _exp_counter = ""  # overridden per group
 
-    def __init__(self, suite: "BilinearSuite", log: int):
+    def __init__(self, suite: "TransparentSuite", log: int):
         self.suite = suite
         self.log = log % suite.p
 
@@ -224,10 +219,11 @@ class TargetElement(_Element):
     _exp_counter = "target_exponentiations"
 
 
-class BilinearSuite(ABC):
-    """Shared scalar/hashing machinery over a prime-order pairing group."""
+class TransparentSuite:
+    """Exponent-tracking oracle suite over a prime-order group.  Insecure by
+    design."""
 
-    suite_id: int
+    suite_id = 1
 
     def __init__(self, p: int):
         if not is_probable_prime(p):
@@ -235,8 +231,8 @@ class BilinearSuite(ABC):
         self.p = p
         self.counters = OpCounters()
 
-    # Suites compare by kind and order so independently deserialized
-    # objects interoperate.
+    # Suites compare by order so independently deserialized objects
+    # interoperate.
     def __eq__(self, other):
         return type(other) is type(self) and other.p == self.p
 
@@ -268,24 +264,10 @@ class BilinearSuite(ABC):
                 return Scalar(value, self.p)
             counter += 1
 
-    @abstractmethod
-    def generator(self) -> SourceElement: ...
-
-    @abstractmethod
-    def identity_source(self) -> SourceElement: ...
-
-    @abstractmethod
-    def identity_target(self) -> TargetElement: ...
-
-    @abstractmethod
-    def random_source(self, rng: Random) -> SourceElement: ...
-
-    @abstractmethod
-    def pair(self, a: SourceElement, b: SourceElement) -> TargetElement: ...
-
     # ------------------------------------------------------------------
     # Canonical element encoding: version byte, suite id, kind byte,
-    # u16 width, then the big-endian fixed-width payload.
+    # u16 width, then the big-endian fixed-width payload.  The content-key
+    # KDF hashes it, so these bytes are part of every sealed package.
     # ------------------------------------------------------------------
 
     _ENCODING_VERSION = 1
@@ -308,32 +290,6 @@ class BilinearSuite(ABC):
         return bytes(
             [self._ENCODING_VERSION, self.suite_id, kind]
         ) + width.to_bytes(2, "big") + element.log.to_bytes(width, "big")
-
-    def decode_element(self, data: bytes) -> _Element:
-        if len(data) < 5:
-            raise ValueError("element encoding too short")
-        version, suite_id, kind = data[0], data[1], data[2]
-        if version != self._ENCODING_VERSION:
-            raise ValueError(f"unknown element encoding version {version}")
-        if suite_id != self.suite_id:
-            raise SuiteMismatchError("element encoded for a different suite kind")
-        width = int.from_bytes(data[3:5], "big")
-        if width != self.scalar_width or len(data) != 5 + width:
-            raise ValueError("element encoding width mismatch")
-        log = int.from_bytes(data[5:], "big")
-        if log >= self.p:
-            raise ValueError("element payload out of range")
-        if kind == self._KIND_SOURCE:
-            return SourceElement(self, log)
-        if kind == self._KIND_TARGET:
-            return TargetElement(self, log)
-        raise ValueError(f"unknown element kind {kind}")
-
-
-class TransparentSuite(BilinearSuite):
-    """Exponent-tracking oracle suite.  Insecure by design."""
-
-    suite_id = 1
 
     def generator(self) -> SourceElement:
         return SourceElement(self, 1)
@@ -384,7 +340,7 @@ def pair(a: SourceElement, b: SourceElement) -> TargetElement:
     return a.suite.pair(a, b)
 
 
-def parse_suite(spec: str) -> BilinearSuite:
+def parse_suite(spec: str) -> TransparentSuite:
     """Parse a suite descriptor such as ``transparent:101``."""
     kind, _, rest = spec.partition(":")
     if kind != "transparent":

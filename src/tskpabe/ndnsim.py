@@ -56,19 +56,6 @@ class Protection(str, Enum):
     AUTHENTICATED_CHANNEL = "authenticated-channel"
 
 
-def dispatch_protection(category: DataCategory) -> Protection:
-    """Protection mechanism per data category."""
-    if category in (DataCategory.PUBLIC_TRAFFIC, DataCategory.PUBLIC_INFOTAINMENT):
-        return Protection.DIRECTORY_HASH
-    if category is DataCategory.SUBSCRIPTION_INFOTAINMENT:
-        return Protection.ABE_ENVELOPE
-    return Protection.AUTHENTICATED_CHANNEL
-
-
-def is_cacheable(category: DataCategory) -> bool:
-    return dispatch_protection(category) is not Protection.AUTHENTICATED_CHANNEL
-
-
 class Level(str, Enum):
     NOT_APPLICABLE = "not-applicable"
     MODERATE = "moderate"
@@ -106,6 +93,23 @@ QOSS_PROFILES: dict[DataCategory, QoSSProfile] = {
         Level.HIGHLY_CRITICAL, Level.HIGHLY_CRITICAL, Level.IMPORTANT, Level.IMPORTANT
     ),
 }
+
+
+def dispatch_protection(category: DataCategory) -> Protection:
+    """Protection mechanism per data category, read off the confidentiality
+    column of its QoSS profile: none needed means a signed directory hash,
+    conditional means the attribute envelope, anything else stays on an
+    authenticated channel."""
+    confidentiality = QOSS_PROFILES[category].confidentiality
+    if confidentiality is Level.NOT_APPLICABLE:
+        return Protection.DIRECTORY_HASH
+    if confidentiality is Level.CONDITIONAL:
+        return Protection.ABE_ENVELOPE
+    return Protection.AUTHENTICATED_CHANNEL
+
+
+def is_cacheable(category: DataCategory) -> bool:
+    return dispatch_protection(category) is not Protection.AUTHENTICATED_CHANNEL
 
 
 class NodeKind(str, Enum):
@@ -303,7 +307,6 @@ link rsu3 vehicle1 latency=10
 @dataclass
 class CachedCopy:
     data: bytes
-    directory_hash: bytes
     pinned: bool = False
 
     @property
@@ -383,21 +386,6 @@ class ContentRecord:
 
 
 @dataclass(frozen=True)
-class Interest:
-    name: str
-    requester: str
-    hop_budget: int
-
-
-@dataclass(frozen=True)
-class DataPacket:
-    name: str
-    chunk: int
-    payload: bytes
-    provenance: str
-
-
-@dataclass(frozen=True)
 class RequestMetric:
     seq: int
     time: int
@@ -411,6 +399,10 @@ class RequestMetric:
     cache_hit: bool
     integrity_retries: int
 
+    @classmethod
+    def not_found(cls, seq: int, time: int, requester: str, name: str) -> "RequestMetric":
+        return cls(seq, time, requester, name, "not-found", 0, 0, "-", "-", False, 0)
+
 
 @dataclass(frozen=True)
 class Metrics:
@@ -420,6 +412,18 @@ class Metrics:
     cache_hits: int
     integrity_events: int
     per_request: tuple[RequestMetric, ...]
+
+    @classmethod
+    def from_rows(cls, rows, integrity_events: int) -> "Metrics":
+        rows = tuple(rows)
+        return cls(
+            requests=len(rows),
+            served=sum(1 for m in rows if m.outcome == "served"),
+            not_found=sum(1 for m in rows if m.outcome == "not-found"),
+            cache_hits=sum(1 for m in rows if m.cache_hit),
+            integrity_events=integrity_events,
+            per_request=rows,
+        )
 
     @property
     def hit_ratio(self) -> float:
@@ -550,9 +554,7 @@ class Simulation:
                     continue
                 if node_id == record.origin:
                     continue
-                node.store.put(
-                    name, CachedCopy(record.data, record.digest, pinned=True)
-                )
+                node.store.put(name, CachedCopy(record.data, pinned=True))
                 if node.store.peek(name) is not None:
                     self._log(f"ev=preload t=0 node={node_id} name={name}")
 
@@ -601,10 +603,9 @@ class Simulation:
             raise ScenarioError(f"unknown requester {requester!r}")
         self._seq += 1
         seq = self._seq
-        interest = Interest(name, requester, self.config.hop_budget)
         self._log(f"ev=interest t={at_time} seq={seq} requester={requester} name={name}")
         if name not in self.contents:
-            return self._finish_not_found(seq, at_time, interest)
+            return self._finish_not_found(seq, at_time, requester, name)
         record = self.contents[name]
         expected = self._directory_hash_for(record)
         failed: set[str] = set()
@@ -613,11 +614,11 @@ class Simulation:
             holders = self._holders(name, failed)
             choice = self._nearest(requester, holders) if holders else None
             if choice is None:
-                return self._finish_not_found(seq, at_time, interest)
+                return self._finish_not_found(seq, at_time, requester, name)
             holder, path, latency = choice
             hops = len(path) - 1
-            if hops > interest.hop_budget:
-                return self._finish_not_found(seq, at_time, interest)
+            if hops > self.config.hop_budget:
+                return self._finish_not_found(seq, at_time, requester, name)
             data = self._copy_at(holder, name)
             if expected is not None and hashlib.sha256(data).digest() != expected:
                 # Corrupted copy: reject, drop it at the holder, ask the
@@ -633,26 +634,12 @@ class Simulation:
                 failed.add(holder)
                 continue
             return self._deliver(
-                seq, at_time, interest, record, holder, path, latency, retries
+                seq, at_time, requester, record, holder, path, latency, retries
             )
 
-    def _finish_not_found(self, seq: int, t: int, interest: Interest) -> RequestMetric:
-        self._log(
-            f"ev=notfound t={t} seq={seq} requester={interest.requester} name={interest.name}"
-        )
-        metric = RequestMetric(
-            seq=seq,
-            time=t,
-            requester=interest.requester,
-            name=interest.name,
-            outcome="not-found",
-            hops=0,
-            latency_ms=0,
-            served_from="-",
-            served_from_kind="-",
-            cache_hit=False,
-            integrity_retries=0,
-        )
+    def _finish_not_found(self, seq: int, t: int, requester: str, name: str) -> RequestMetric:
+        self._log(f"ev=notfound t={t} seq={seq} requester={requester} name={name}")
+        metric = RequestMetric.not_found(seq, t, requester, name)
         self._metrics_rows.append(metric)
         return metric
 
@@ -660,21 +647,18 @@ class Simulation:
         self,
         seq: int,
         t: int,
-        interest: Interest,
+        requester: str,
         record: ContentRecord,
         holder: str,
         path: list[str],
         latency: int,
         retries: int,
     ) -> RequestMetric:
-        chunk_size = self.config.chunk_size
-        n_chunks = max(1, math.ceil(record.size / chunk_size))
+        n_chunks = max(1, math.ceil(record.size / self.config.chunk_size))
         for chunk in range(n_chunks):
-            payload = record.data[chunk * chunk_size : (chunk + 1) * chunk_size]
-            packet = DataPacket(record.name, chunk, payload, holder)
             self._log(
-                f"ev=data t={t} seq={seq} name={packet.name} chunk={packet.chunk} "
-                f"from={packet.provenance} to={interest.requester}"
+                f"ev=data t={t} seq={seq} name={record.name} chunk={chunk} "
+                f"from={holder} to={requester}"
             )
         if is_cacheable(record.category):
             # Every traversed node except the holder may keep a copy.
@@ -684,9 +668,7 @@ class Simulation:
                     continue
                 if node.store.peek(record.name) is not None:
                     continue
-                evicted = node.store.put(
-                    record.name, CachedCopy(record.data, record.digest)
-                )
+                evicted = node.store.put(record.name, CachedCopy(record.data))
                 if node.store.peek(record.name) is not None:
                     self._log(f"ev=cache t={t} node={node_id} name={record.name}")
                 for victim in evicted:
@@ -694,14 +676,14 @@ class Simulation:
         hit = holder != record.origin
         kind = self.nodes[holder].kind.value
         self._log(
-            f"ev=served t={t} seq={seq} requester={interest.requester} "
+            f"ev=served t={t} seq={seq} requester={requester} "
             f"name={record.name} from={holder} kind={kind} hops={len(path) - 1} "
             f"latency={latency} hit={int(hit)} retries={retries}"
         )
         metric = RequestMetric(
             seq=seq,
             time=t,
-            requester=interest.requester,
+            requester=requester,
             name=record.name,
             outcome="served",
             hops=len(path) - 1,
@@ -726,12 +708,18 @@ class Simulation:
         if copy is None:
             raise ScenarioError(f"no cached copy of {name!r} at {node_id!r} to tamper")
         corrupted = bytes([copy.data[0] ^ 0xFF]) + copy.data[1:] if copy.data else b"\xff"
-        node.store.replace(name, CachedCopy(corrupted, copy.directory_hash, copy.pinned))
+        node.store.replace(name, CachedCopy(corrupted, copy.pinned))
         self._log(f"ev=tamper t={op.time} node={node_id} name={name}")
 
     def _apply_relink(self, op: ScheduledOp) -> None:
         a, b = op.params.get("a", ""), op.params.get("b", "")
-        latency = int(op.params.get("latency", DEFAULT_LATENCY_MS))
+        raw = op.params.get("latency", str(DEFAULT_LATENCY_MS))
+        try:
+            latency = int(raw)
+        except ValueError:
+            raise ScenarioError(f"relink t={op.time}: bad integer for latency: {raw!r}") from None
+        if latency < 0:
+            raise ScenarioError(f"relink t={op.time}: latency must be >= 0")
         for end in (a, b):
             if end not in self.nodes:
                 raise ScenarioError(f"relink references unknown node {end!r}")
@@ -761,15 +749,7 @@ class Simulation:
         return SimulationResult(self.metrics(), tuple(self.events))
 
     def metrics(self) -> Metrics:
-        rows = tuple(self._metrics_rows)
-        return Metrics(
-            requests=len(rows),
-            served=sum(1 for m in rows if m.outcome == "served"),
-            not_found=sum(1 for m in rows if m.outcome == "not-found"),
-            cache_hits=sum(1 for m in rows if m.cache_hit),
-            integrity_events=self._integrity_events,
-            per_request=rows,
-        )
+        return Metrics.from_rows(self._metrics_rows, self._integrity_events)
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationResult:
@@ -807,26 +787,8 @@ def metrics_from_events(events) -> Metrics:
             )
         elif ev == "notfound":
             rows.append(
-                RequestMetric(
-                    seq=int(fields["seq"]),
-                    time=int(fields["t"]),
-                    requester=fields["requester"],
-                    name=fields["name"],
-                    outcome="not-found",
-                    hops=0,
-                    latency_ms=0,
-                    served_from="-",
-                    served_from_kind="-",
-                    cache_hit=False,
-                    integrity_retries=0,
+                RequestMetric.not_found(
+                    int(fields["seq"]), int(fields["t"]), fields["requester"], fields["name"]
                 )
             )
-    ordered = tuple(sorted(rows, key=lambda m: m.seq))
-    return Metrics(
-        requests=len(ordered),
-        served=sum(1 for m in ordered if m.outcome == "served"),
-        not_found=sum(1 for m in ordered if m.outcome == "not-found"),
-        cache_hits=sum(1 for m in ordered if m.cache_hit),
-        integrity_events=integrity,
-        per_request=ordered,
-    )
+    return Metrics.from_rows(sorted(rows, key=lambda m: m.seq), integrity)

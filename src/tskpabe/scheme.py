@@ -33,13 +33,11 @@ from random import Random
 
 from . import lsss
 from .groups import (
-    BilinearSuite,
     Scalar,
     SourceElement,
     SuiteMismatchError,
     TargetElement,
     TransparentSuite,
-    UnsupportedSuiteError,
 )
 from .lsss import AccessStructure
 from .timetree import TimeCover, TimeNode
@@ -67,7 +65,7 @@ class UnknownAttributeError(KeyError):
 
 @dataclass(frozen=True)
 class PublicParams:
-    suite: BilinearSuite
+    suite: TransparentSuite
     mode: Mode
     universe: tuple[str, ...]
     depth: int
@@ -206,7 +204,7 @@ def _normalize_universe(universe) -> tuple[str, ...]:
 class TimedKpAbe:
     """The four algorithms over an injected suite and mode."""
 
-    def __init__(self, suite: BilinearSuite, mode: Mode = Mode.REPAIRED):
+    def __init__(self, suite: TransparentSuite, mode: Mode = Mode.REPAIRED):
         self.suite = suite
         self.mode = Mode(mode)
 
@@ -404,15 +402,13 @@ class TimedKpAbe:
         """Check the decryption equation's derivation step by step.
 
         Each step compares one side of a claimed identity against the other
-        and reports the quotient as a target-group residual.  Requires the
-        transparent suite: per-instance exponents are read off the public
-        parameters, key and ciphertext to build the comparison values.
+        and reports the quotient as a target-group residual.  Relies on the
+        suite being transparent: per-instance exponents are read off the
+        public parameters, key and ciphertext to build the comparison values.
         """
         self._check_pk(pk)
         self._check_pair_compat(ct, sk)
         suite = self.suite
-        if not isinstance(suite, TransparentSuite):
-            raise UnsupportedSuiteError("audit needs the transparent suite")
         omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes)
         matches = self._matching_nodes(ct, sk)
         if omegas is None or not matches:
@@ -489,7 +485,7 @@ def _mode_from_byte(b: int) -> Mode:
     raise WireError(f"unknown mode byte {b}")
 
 
-def _pack_header(kind: int, mode: Mode, suite: BilinearSuite) -> bytes:
+def _pack_header(kind: int, mode: Mode, suite: TransparentSuite) -> bytes:
     p_bytes = suite.p.to_bytes((suite.p.bit_length() + 7) // 8, "big")
     return (
         _MAGIC
@@ -522,20 +518,28 @@ def _pack_element(el) -> bytes:
     return el.log.to_bytes(width, "big")
 
 
+def _read_residue(reader: Reader, suite: TransparentSuite) -> int:
+    """One fixed-width field; values >= p are rejected, never reduced."""
+    value = int.from_bytes(reader.raw(suite.scalar_width), "big")
+    if value >= suite.p:
+        raise WireError(f"field value {value} out of range for modulus {suite.p}")
+    return value
+
+
 def _read_source(reader: Reader, suite: TransparentSuite) -> SourceElement:
-    return suite.source_from_log(int.from_bytes(reader.raw(suite.scalar_width), "big"))
+    return suite.source_from_log(_read_residue(reader, suite))
 
 
 def _read_target(reader: Reader, suite: TransparentSuite) -> TargetElement:
-    return suite.target_from_log(int.from_bytes(reader.raw(suite.scalar_width), "big"))
+    return suite.target_from_log(_read_residue(reader, suite))
 
 
-def _pack_scalar(s: Scalar, suite: BilinearSuite) -> bytes:
+def _pack_scalar(s: Scalar, suite: TransparentSuite) -> bytes:
     return s.value.to_bytes(suite.scalar_width, "big")
 
 
 def _read_scalar(reader: Reader, suite: TransparentSuite) -> Scalar:
-    return suite.scalar(int.from_bytes(reader.raw(suite.scalar_width), "big"))
+    return suite.scalar(_read_residue(reader, suite))
 
 
 def _pack_cover(cover: TimeCover) -> bytes:
@@ -551,7 +555,7 @@ def _read_cover(reader: Reader) -> TimeCover:
     return TimeCover.from_nodes(nodes)
 
 
-def _pack_access(access: AccessStructure, suite: BilinearSuite) -> bytes:
+def _pack_access(access: AccessStructure, suite: TransparentSuite) -> bytes:
     out = pack_u16(access.rows) + pack_u16(access.columns)
     for row in access.matrix:
         for value in row:
@@ -564,10 +568,8 @@ def _pack_access(access: AccessStructure, suite: BilinearSuite) -> bytes:
 def _read_access(reader: Reader, suite: TransparentSuite) -> AccessStructure:
     rows = reader.u16()
     cols = reader.u16()
-    width = suite.scalar_width
     matrix = tuple(
-        tuple(int.from_bytes(reader.raw(width), "big") for _ in range(cols))
-        for _ in range(rows)
+        tuple(_read_residue(reader, suite) for _ in range(cols)) for _ in range(rows)
     )
     attributes = tuple(reader.str_() for _ in range(rows))
     return AccessStructure(matrix, attributes, suite.p)
@@ -617,7 +619,7 @@ def pk_from_bytes(data: bytes) -> PublicParams:
     )
 
 
-def mk_to_bytes(mk: MasterKey, suite: BilinearSuite, mode: Mode) -> bytes:
+def mk_to_bytes(mk: MasterKey, suite: TransparentSuite, mode: Mode) -> bytes:
     return (
         _pack_header(_KIND_SK, mode, suite)
         + pack_u8(0)  # master-key marker inside the key kind
@@ -660,6 +662,8 @@ def sk_from_bytes(data: bytes) -> PrivateKey:
     if reader.u8() != 1:
         raise WireError("not a private key")
     pid = _read_scalar(reader, suite)
+    if not pid:
+        raise WireError("private key has a zero pseudo-identity")
     access = _read_access(reader, suite)
     cover = _read_cover(reader)
     d0 = _read_target(reader, suite)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import lsss
-from .groups import BilinearSuite, Scalar
+from .groups import Scalar, TransparentSuite
 from .scheme import MasterKey, PrivateKey, PublicParams, TimedKpAbe
 from .timetree import (
     GREGORIAN,
@@ -43,7 +43,7 @@ class PseudoIdentity:
 
 
 def derive_pseudo_id(
-    suite: BilinearSuite, user: str, start: Day, nonce: bytes = b""
+    suite: TransparentSuite, user: str, start: Day, nonce: bytes = b""
 ) -> PseudoIdentity:
     """Nonzero scalar from the canonical (user, start day, nonce) encoding."""
     material = pack_str(user) + pack_str(format_day(start)) + pack_bytes(nonce)
@@ -286,14 +286,23 @@ class RevocationLedger:
     def from_text(
         cls, text: str, calendar: CalendarSystem = GREGORIAN
     ) -> "RevocationLedger":
+        """Parse the blocks and the shape of their entries.  A malformed
+        line raises ValueError naming it; the chain is not verified here."""
         ledger = cls(calendar=calendar)
-        for line in text.splitlines():
+        for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            raw = json.loads(line)
-            ledger.blocks.append(
-                Block(raw["index"], raw["kind"], raw["prev"], raw["payload"], raw["digest"])
-            )
+            try:
+                raw = json.loads(line)
+                block = Block(raw["index"], raw["kind"], raw["prev"], raw["payload"], raw["digest"])
+                if block.kind == "entries":
+                    for payload in block.payload["entries"]:
+                        _entry_from_payload(payload)
+            except KeyError as exc:
+                raise ValueError(f"ledger line {line_no}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"ledger line {line_no}: malformed block ({exc})") from None
+            ledger.blocks.append(block)
         ledger._tx_seq = sum(
             len(b.payload["entries"]) for b in ledger.blocks if b.kind == "entries"
         )

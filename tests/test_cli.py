@@ -567,3 +567,29 @@ def test_keygen_unknown_attribute_is_usage_error(capsys, tmp_path, keyring):
     )
     assert code == 1
     assert err == "usage error: attribute 'bogus' not in the universe\n"
+
+
+def test_zero_pid_key_is_usage_error(capsys, tmp_path, keyring):
+    pk, _, sk = keyring
+    ct = tmp_path / "ct.bin"
+    args = ("--attrs", "gold,family", "--nodes", "2022-08", "--out", str(ct))
+    assert run(capsys, "encrypt", "--pk", str(pk), *args)[0] == 0
+    # The pid scalar follows the 16-byte header and the private-key marker.
+    data = sk.read_bytes()
+    sk.write_bytes(data[:17] + bytes(4) + data[21:])
+    code, out, err = run(capsys, "decrypt", "--pk", str(pk), "--sk", str(sk), "--ct", str(ct))
+    assert code == 1 and out == ""
+    assert err == "error: private key has a zero pseudo-identity\n"
+
+
+def test_malformed_ledger_line_is_usage_error(capsys, tmp_path):
+    ledger = tmp_path / "ledger.jsonl"
+    revoke = ("--expiry", "2022-09-02", "--now", "2022-07-10")
+    assert run(capsys, "revoke", "--ledger", str(ledger), "--pid", "pid:abc", *revoke)[0] == 0
+    for bad in ("{}", "[1,2]", '{"index":1,"kind":"entries","prev":"","payload":{},"digest":""}'):
+        ledger.write_text(ledger.read_text().splitlines()[0] + "\n" + bad + "\n")
+        code, out, err = run(
+            capsys, "check", "--ledger", str(ledger), "--pid", "pid:abc", "--now", "2022-07-11"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: ledger line 2: ") and err.count("\n") == 1

@@ -1,3 +1,6 @@
+import hashlib
+from random import Random
+
 import pytest
 
 from tskpabe.ndnsim import (
@@ -275,6 +278,13 @@ def test_relink_changes_routing():
     assert second.served_from == "origin"  # direct link now wins on latency
 
 
+@pytest.mark.parametrize(("latency", "reason"), [("-20", ">= 0"), ("fast", "bad integer")])
+def test_relink_latency_validated(latency, reason):
+    text = line5(CONTENT + f"relink t=1 a=vehicle1 b=origin latency={latency}\n")
+    with pytest.raises(ScenarioError, match=f"^relink t=1: .*{reason}"):
+        run_scenario(parse_scenario(text))
+
+
 def test_replay_matches_run():
     text = line5(
         CONTENT
@@ -341,3 +351,99 @@ def test_directory_verification_logged():
         e.startswith("ev=dirverify") and "node=vehicle1" in e and "ok=1" in e
         for e in result.events
     )
+
+
+KAT_CATEGORIES = (
+    "subscription-infotainment",
+    "public-traffic",
+    "public-infotainment",
+    "subscription-infotainment",
+    "v2x-private",
+    "traffic-control",
+    "private-infotainment",
+)
+
+
+def kat_scenario(seed: int) -> str:
+    """A 4x3 RSU grid with equal-latency links (so equal-cost ties), pinned
+    default contents, tampered preloads, small caches, relink/unlink and
+    every data category, plus a name nobody publishes."""
+    rng = Random(seed)
+    width, height = 4, 3
+    grid = [[f"r{x}{y}" for x in range(width)] for y in range(height)]
+    vehicles = [f"v{i}" for i in range(6)]
+    lines = [
+        "seed 7",
+        "chunk-size 700",
+        "hop-budget 6",
+        "node origin kind=third-party-server capacity=0",
+        "node auth kind=authority-server capacity=0",
+    ]
+    for row in grid:
+        for rsu in row:
+            lines.append(f"node {rsu} kind=rsu capacity={rng.choice((1200, 1500, 2500))}")
+    for v in vehicles:
+        lines.append(f"node {v} kind=vehicle capacity={rng.choice((0, 1200))}")
+    for y in range(height):
+        for x in range(width):
+            if x + 1 < width:
+                lines.append(f"link {grid[y][x]} {grid[y][x + 1]} latency=10")
+            if y + 1 < height:
+                lines.append(f"link {grid[y][x]} {grid[y + 1][x]} latency=10")
+    lines += [
+        f"link origin {grid[0][0]} latency=10",
+        f"link auth {grid[-1][-1]} latency=10",
+        f"link v0 {grid[1][1]} latency=1",
+        f"link v1 {grid[2][2]} latency=1",
+    ]
+    for v in vehicles[2:]:
+        lines.append(f"link {v} {rng.choice(rng.choice(grid))} latency={rng.choice((1, 2, 3))}")
+    lines += [
+        "content /radio origin=origin size=400 category=public-infotainment default=1",
+        "content /news origin=auth size=300 category=public-traffic default=1",
+    ]
+    names = ["/radio", "/news", "/missing"]
+    for i, category in enumerate(KAT_CATEGORIES):
+        names.append(f"/c{i}")
+        origin = rng.choice(("origin", "auth"))
+        size = rng.randrange(500, 1500)
+        lines.append(f"content /c{i} origin={origin} size={size} category={category}")
+    # v0 and v1 hang off the tampered units, so their first requests meet
+    # the corrupted preloads.
+    lines += [
+        f"tamper t=1 node={grid[1][1]} name=/radio",
+        f"tamper t=2 node={grid[2][2]} name=/news",
+        "request t=3 requester=v0 name=/radio",
+        "request t=4 requester=v1 name=/news",
+    ]
+    requesters = vehicles + [grid[0][3], grid[2][0]]
+    for t in range(5, 45):
+        if t == 15:
+            lines.append("relink t=15 a=v0 b=origin latency=5")
+        elif t == 22:
+            lines.append(f"relink t=22 a={grid[0][0]} b={grid[1][0]} latency=30")
+        elif t == 30:
+            lines.append(f"unlink t=30 a={grid[1][1]} b={grid[1][2]}")
+        else:
+            requester, name = rng.choice(requesters), rng.choice(names)
+            lines.append(f"request t={t} requester={requester} name={name}")
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the newline-joined event log of kat_scenario(seed).
+EVENT_LOG_SHA256 = {
+    1: "fdd61f0d7bfbfedbf61e006f61d2086a3c95e5b8032f8d453e11cda55bfcfbed",
+    2: "eae7b303088de837bcdbe4e055c08e3060f3f5549dd4b720feec1484377983a8",
+    3: "936fb5359147c0561bfa5631a098ba3ae69e826a96d22605350bd2286ecb5934",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EVENT_LOG_SHA256))
+def test_event_log_known_answer(seed):
+    result = run_scenario(parse_scenario(kat_scenario(seed)))
+    kinds = {line.split()[0] for line in result.events}
+    for kind in ("preload", "evict", "integrity", "notfound", "relink", "unlink"):
+        assert f"ev={kind}" in kinds
+    digest = hashlib.sha256("\n".join(result.events).encode()).hexdigest()
+    assert digest == EVENT_LOG_SHA256[seed]
+    assert metrics_from_events(result.events) == result.metrics

@@ -10,13 +10,9 @@ from support import (
     satisfying_set,
 )
 from tskpabe.groups import (
-    BilinearSuite,
     OpCounters,
-    SourceElement,
     SuiteMismatchError,
-    TargetElement,
     TransparentSuite,
-    UnsupportedSuiteError,
 )
 from tskpabe.lsss import compile_policy, reconstruct_coeffs
 from tskpabe.scheme import (
@@ -37,6 +33,7 @@ from tskpabe.scheme import (
     sk_to_bytes,
 )
 from tskpabe.timetree import TimeCover, TimeNode, TimeWindow, set_cover
+from tskpabe.wire import WireError
 
 P = 2**31 - 1
 
@@ -454,38 +451,6 @@ def test_audit_requires_decryptable_instance():
         scheme.audit(pk, ct, sk)
 
 
-class OpaqueSuite(BilinearSuite):
-    """Behaves like the transparent suite but is not one; audit must refuse."""
-
-    suite_id = 99
-
-    def generator(self):
-        return SourceElement(self, 1)
-
-    def identity_source(self):
-        return SourceElement(self, 0)
-
-    def identity_target(self):
-        return TargetElement(self, 0)
-
-    def random_source(self, rng):
-        return SourceElement(self, rng.randrange(self.p))
-
-    def random_target(self, rng):
-        return TargetElement(self, rng.randrange(self.p))
-
-    def pair(self, a, b):
-        self.counters.pairings += 1
-        return TargetElement(self, a.log * b.log)
-
-
-def test_audit_rejects_non_transparent_suite():
-    scheme = TimedKpAbe(OpaqueSuite(101))
-    pk, _, sk, ct, _ = make_instance(scheme)
-    with pytest.raises(UnsupportedSuiteError):
-        scheme.audit(pk, ct, sk)
-
-
 # ----------------------------------------------------------------------
 # Measurement and serialization.
 # ----------------------------------------------------------------------
@@ -540,3 +505,42 @@ def test_truncated_serialization_rejected():
         pk_from_bytes(data[:-1])
     with pytest.raises(ValueError):
         pk_from_bytes(data + b"\x00")
+
+
+def _raised_by_p(data: bytes, offset: int, suite, expected: int) -> bytes:
+    """Add p to the fixed-width field at offset, which must hold expected."""
+    width = suite.scalar_width
+    value = int.from_bytes(data[offset : offset + width], "big")
+    assert value == expected
+    return data[:offset] + (value + suite.p).to_bytes(width, "big") + data[offset + width :]
+
+
+def test_out_of_range_fields_rejected():
+    scheme = make_scheme()
+    suite = scheme.suite
+    pk, mk, sk, ct, _ = make_instance(scheme)
+    width = suite.scalar_width
+    header = 12 + width  # magic, version, kind, mode, suite id, u32 length, modulus
+    pk_bytes, ct_bytes = pk_to_bytes(pk), ct_to_bytes(ct)
+    sk_bytes = sk_to_bytes(sk)
+    cases = [
+        (pk_from_bytes, pk_bytes, len(pk_bytes) - width, pk.e_gg_alpha.log),
+        (ct_from_bytes, ct_bytes, len(ct_bytes) - width, ct.c_time[-1][1].log),
+        (sk_from_bytes, sk_bytes, header + 1, sk.pid.value),
+        (sk_from_bytes, sk_bytes, header + 1 + width + 4, sk.access.matrix[0][0]),
+        (mk_from_bytes, mk_to_bytes(mk, suite, scheme.mode), header + 1, mk.alpha.value),
+    ]
+    for decode, data, offset, expected in cases:
+        with pytest.raises(WireError, match="out of range"):
+            decode(_raised_by_p(data, offset, suite, expected))
+
+
+def test_zero_pid_key_rejected():
+    scheme = make_scheme()
+    _, _, sk, _, _ = make_instance(scheme)
+    width = scheme.suite.scalar_width
+    offset = 12 + width + 1  # header, then the private-key marker
+    data = sk_to_bytes(sk)
+    zeroed = data[:offset] + bytes(width) + data[offset + width :]
+    with pytest.raises(WireError, match="zero pseudo-identity"):
+        sk_from_bytes(zeroed)

@@ -188,6 +188,24 @@ def test_ledger_text_roundtrip(tmp_path):
     assert loaded.lookup("pid:8") is not None
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "{}",
+        "[1,2]",
+        "not json",
+        '{"index":1,"kind":"entries","prev":"","payload":{},"digest":""}',
+        '{"index":1,"kind":"entries","prev":"","payload":{"entries":"x"},"digest":""}',
+        '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"p"}]},"digest":""}',
+    ],
+)
+def test_malformed_ledger_line_names_its_number(bad):
+    ledger = RevocationLedger()
+    ledger.revoke("pid:7", (2022, 9, 2), now=(2022, 7, 10))
+    with pytest.raises(ValueError, match="^ledger line 3: "):
+        RevocationLedger.from_text(ledger.to_text() + "\n" + bad + "\n")
+
+
 def test_revocation_is_ledger_layer_not_algebraic(provider):
     """A revoked but unexpired key still satisfies the scheme's algebra;
     denial of service comes from the agent, not the decryption equation."""
