@@ -40,6 +40,10 @@ class UsageError(Exception):
     pass
 
 
+class LedgerChainError(Exception):
+    """The revocation ledger's digest chain does not verify."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for denials
         raise UsageError(message)
@@ -427,17 +431,17 @@ def _cmd_sim_replay(args) -> int:
 
 
 def _load_ledger(path: str) -> RevocationLedger:
-    if os.path.exists(path):
-        return RevocationLedger.load(path)
-    return RevocationLedger()
+    ledger = RevocationLedger.load(path) if os.path.exists(path) else RevocationLedger()
+    if not ledger.verify():
+        raise LedgerChainError(f"ledger {path}: digest chain does not verify")
+    return ledger
 
 
 def _cmd_revoke(args) -> int:
     ledger = _load_ledger(args.ledger)
-    before = len(ledger.entries())
+    duplicate = ledger.lookup(args.pid) is not None
     entry = ledger.revoke(args.pid, parse_day(args.expiry), parse_day(args.now))
     ledger.save(args.ledger)
-    duplicate = len(ledger.entries()) == before
     print(
         f"revoked pid={entry.pid} expiry={args.expiry} duplicate={int(duplicate)}"
     )
@@ -463,7 +467,7 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_ledger_verify(args) -> int:
-    ledger = _load_ledger(args.ledger)
+    ledger = RevocationLedger.load(args.ledger)
     ok = ledger.verify()
     print(f"blocks={len(ledger.blocks)} entries={len(ledger.entries())} ok={int(ok)}")
     return EXIT_OK if ok else EXIT_VERIFICATION
@@ -633,7 +637,7 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    except UnknownIssuerError as exc:
+    except (UnknownIssuerError, LedgerChainError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except SystemExit as exc:

@@ -334,9 +334,6 @@ class ContentStore:
         """Lookup without refreshing the entry's recency."""
         return self._items.get(name)
 
-    def names(self) -> list[str]:
-        return list(self._items)
-
     def put(self, name: str, copy: CachedCopy) -> list[str]:
         """Insert and return the names evicted to make room.  Items larger
         than the whole store are not cached."""

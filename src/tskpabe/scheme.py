@@ -635,6 +635,8 @@ def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
     if marker != 0:
         raise WireError("not a master key")
     alpha = _read_scalar(reader, suite)
+    if not alpha:
+        raise WireError("master key has a zero alpha")
     beta = _read_scalar(reader, suite)
     reader.require_exhausted()
     return MasterKey(alpha, beta), mode, suite

@@ -185,6 +185,8 @@ class RevocationLedger:
     blocks: list[Block] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     _tx_seq: int = 0
+    # pid -> entry of the "entries" blocks, kept in step wherever blocks change
+    _entries: dict[str, LedgerEntry] = field(default_factory=dict)
 
     def _append(self, kind: str, payload: dict) -> Block:
         prev = self.blocks[-1].digest if self.blocks else ""
@@ -193,17 +195,10 @@ class RevocationLedger:
         return block
 
     def entries(self) -> list[LedgerEntry]:
-        out = []
-        for block in self.blocks:
-            if block.kind == "entries":
-                out.extend(_entry_from_payload(p) for p in block.payload["entries"])
-        return out
+        return list(self._entries.values())
 
     def lookup(self, pid: str) -> LedgerEntry | None:
-        for entry in self.entries():
-            if entry.pid == pid:
-                return entry
-        return None
+        return self._entries.get(pid)
 
     def revoke(self, pid: str, expected_expiry: Day, now: Day) -> LedgerEntry:
         """Record a cancellation.  Re-revoking an already listed identity
@@ -217,6 +212,7 @@ class RevocationLedger:
         self._tx_seq += 1
         entry = LedgerEntry(pid, expected_expiry, f"{format_day(now)}/{self._tx_seq}")
         self._append("entries", {"entries": [_entry_payload(entry)]})
+        self._entries[pid] = entry
         return entry
 
     def prune(self, clock: Day) -> int:
@@ -228,14 +224,14 @@ class RevocationLedger:
         """
         self.calendar.validate_day(clock)
         clock_ord = self.calendar.to_ordinal(clock)
-        survivors, removed = [], 0
-        for entry in self.entries():
-            if self.calendar.to_ordinal(entry.expected_expiry) < clock_ord:
-                removed += 1
-            else:
-                survivors.append(entry)
+        survivors = [
+            e for e in self._entries.values()
+            if self.calendar.to_ordinal(e.expected_expiry) >= clock_ord
+        ]
+        removed = len(self._entries) - len(survivors)
         if removed == 0:
             return 0
+        self._entries = {e.pid: e for e in survivors}
         prior_head = self.blocks[-1].digest if self.blocks else ""
         self.blocks = []
         self._append(
@@ -286,8 +282,11 @@ class RevocationLedger:
     def from_text(
         cls, text: str, calendar: CalendarSystem = GREGORIAN
     ) -> "RevocationLedger":
-        """Parse the blocks and the shape of their entries.  A malformed
-        line raises ValueError naming it; the chain is not verified here."""
+        """Parse the blocks and index their entries by pid, in block order.
+        A line that is not a block, lacks a field, or holds an invalid day,
+        a stamp without an integer ``/seq`` suffix or a repeated pid raises
+        ValueError naming it.  New stamps continue after the largest loaded
+        one.  The chain is not verified here."""
         ledger = cls(calendar=calendar)
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -295,17 +294,19 @@ class RevocationLedger:
             try:
                 raw = json.loads(line)
                 block = Block(raw["index"], raw["kind"], raw["prev"], raw["payload"], raw["digest"])
-                if block.kind == "entries":
-                    for payload in block.payload["entries"]:
-                        _entry_from_payload(payload)
+                for payload in block.payload["entries"] if block.kind == "entries" else ():
+                    entry = _entry_from_payload(payload)
+                    calendar.validate_day(entry.expected_expiry)
+                    seq = int(entry.tx_timestamp.rpartition("/")[2])
+                    if entry.pid in ledger._entries:
+                        raise ValueError(f"pid {entry.pid} listed twice")
+                    ledger._entries[entry.pid] = entry
+                    ledger._tx_seq = max(ledger._tx_seq, seq)
             except KeyError as exc:
                 raise ValueError(f"ledger line {line_no}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError) as exc:
                 raise ValueError(f"ledger line {line_no}: malformed block ({exc})") from None
             ledger.blocks.append(block)
-        ledger._tx_seq = sum(
-            len(b.payload["entries"]) for b in ledger.blocks if b.kind == "entries"
-        )
         return ledger
 
     def save(self, path) -> None:

@@ -156,9 +156,6 @@ class TimeWindow:
         if cal.to_ordinal(self.start) > cal.to_ordinal(self.end):
             raise ValueError(f"window start {self.start} after end {self.end}")
 
-    def days(self, cal: CalendarSystem = GREGORIAN) -> int:
-        return cal.to_ordinal(self.end) - cal.to_ordinal(self.start) + 1
-
     def contains(self, other: "TimeWindow", cal: CalendarSystem = GREGORIAN) -> bool:
         return (
             cal.to_ordinal(self.start) <= cal.to_ordinal(other.start)
@@ -239,9 +236,7 @@ class TimeCover:
         )
 
     @classmethod
-    def from_nodes(
-        cls, nodes, cal: CalendarSystem = GREGORIAN, check_minimal: bool = True
-    ) -> "TimeCover":
+    def from_nodes(cls, nodes, cal: CalendarSystem = GREGORIAN) -> "TimeCover":
         nodes = tuple(sorted(set(nodes)))
         if not nodes:
             raise ValueError("cover must contain at least one node")
@@ -258,12 +253,11 @@ class TimeCover:
                 if start_ord != prev_end + 1:
                     raise ValueError(f"gap in cover before {node}")
             prev_end = cal.to_ordinal(w.end)
-        if check_minimal:
-            collapsible = _full_sibling_families(tuple(ordered), cal)
-            if collapsible:
-                raise ValueError(
-                    f"cover is not minimal: {collapsible[0]} replaces a full sibling family"
-                )
+        collapsible = _full_sibling_families(tuple(ordered), cal)
+        if collapsible:
+            raise ValueError(
+                f"cover is not minimal: {collapsible[0]} replaces a full sibling family"
+            )
         return cls(tuple(ordered))
 
     def texts(self) -> list[str]:

@@ -582,6 +582,64 @@ def test_zero_pid_key_is_usage_error(capsys, tmp_path, keyring):
     assert err == "error: private key has a zero pseudo-identity\n"
 
 
+def test_zero_alpha_master_key_is_usage_error(capsys, tmp_path, keyring):
+    pk, mk, _ = keyring
+    # The alpha scalar follows the 16-byte header and the master-key marker.
+    data = mk.read_bytes()
+    mk.write_bytes(data[:17] + bytes(4) + data[21:])
+    capsys.readouterr()
+    args = ("--policy", "gold", "--nodes", "2022-08", "--user", "bob")
+    code, out, err = run(
+        capsys, "keygen", "--pk", str(pk), "--mk", str(mk), *args, "--out", str(tmp_path / "k")
+    )
+    assert code == 1 and out == ""
+    assert err == "error: master key has a zero alpha\n"
+
+
+def _revoke(capsys, ledger, pid, expiry, now="2022-07-05"):
+    return run(
+        capsys, "revoke", "--ledger", str(ledger), "--pid", pid, "--expiry", expiry, "--now", now
+    )
+
+
+def _ledger_with_three_revoked(capsys, tmp_path):
+    """The three same-day revocations that open the benchmark's CLI day."""
+    ledger = tmp_path / "ledger.jsonl"
+    revoked = (("pid:a1", "2022-07-04"), ("pid:b2", "2022-09-02"), ("pid:c3", "2022-09-30"))
+    for pid, expiry in revoked:
+        assert _revoke(capsys, ledger, pid, expiry)[0] == 0
+    return ledger
+
+
+def test_hand_edited_ledger_fails_closed(capsys, tmp_path):
+    ledger = _ledger_with_three_revoked(capsys, tmp_path)
+    edited = ledger.read_bytes().replace(b'"pid:c3"', b'"pid:c4"')
+    ledger.write_bytes(edited)
+    check = ("check", "--ledger", str(ledger), "--pid", "pid:c3", "--now", "2022-07-06")
+    for argv in (check, ("prune", "--ledger", str(ledger), "--now", "2022-09-10")):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == f"verification failure: ledger {ledger}: digest chain does not verify\n"
+    code, out, _ = _revoke(capsys, ledger, "pid:e5", "2022-12-31", now="2022-07-06")
+    assert code == 4 and out == ""
+    assert ledger.read_bytes() == edited
+    code, out, _ = run(capsys, "ledger-verify", "--ledger", str(ledger))
+    assert code == 4 and "ok=0" in out
+
+
+def test_stamps_stay_unique_across_prune_and_reload(capsys, tmp_path):
+    ledger = _ledger_with_three_revoked(capsys, tmp_path)
+    code, out, _ = run(capsys, "prune", "--ledger", str(ledger), "--now", "2022-07-05")
+    assert code == 0 and "removed=1 remaining=2" in out
+    assert _revoke(capsys, ledger, "pid:e5", "2022-12-31")[0] == 0
+    stamps = [
+        entry["tx_timestamp"]
+        for line in ledger.read_text().splitlines()
+        for entry in json.loads(line)["payload"].get("entries", [])
+    ]
+    assert stamps == ["2022-07-05/2", "2022-07-05/3", "2022-07-05/4"]
+
+
 def test_malformed_ledger_line_is_usage_error(capsys, tmp_path):
     ledger = tmp_path / "ledger.jsonl"
     revoke = ("--expiry", "2022-09-02", "--now", "2022-07-10")

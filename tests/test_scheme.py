@@ -544,3 +544,14 @@ def test_zero_pid_key_rejected():
     zeroed = data[:offset] + bytes(width) + data[offset + width :]
     with pytest.raises(WireError, match="zero pseudo-identity"):
         sk_from_bytes(zeroed)
+
+
+def test_zero_alpha_master_key_rejected():
+    scheme = make_scheme()
+    _, mk, _, _, _ = make_instance(scheme)
+    width = scheme.suite.scalar_width
+    offset = 12 + width + 1  # header, then the master-key marker
+    data = mk_to_bytes(mk, scheme.suite, scheme.mode)
+    zeroed = data[:offset] + bytes(width) + data[offset + width :]
+    with pytest.raises(WireError, match="zero alpha"):
+        mk_from_bytes(zeroed)

@@ -1,17 +1,21 @@
+import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tskpabe.groups import TransparentSuite
 from tskpabe.scheme import Mode, TimedKpAbe, component_counts
 from tskpabe.subscription import (
     InfotainmentAgent,
+    LedgerEntry,
     RevocationLedger,
     SecureChannelStub,
     SubscriptionService,
     derive_pseudo_id,
 )
-from tskpabe.timetree import GREGORIAN, TimeCover, TimeNode, TimeWindow
+from tskpabe.timetree import GREGORIAN, TimeCover, TimeNode, TimeWindow, parse_day
 
 P = 2**31 - 1
 
@@ -197,6 +201,13 @@ def test_ledger_text_roundtrip(tmp_path):
         '{"index":1,"kind":"entries","prev":"","payload":{},"digest":""}',
         '{"index":1,"kind":"entries","prev":"","payload":{"entries":"x"},"digest":""}',
         '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"p"}]},"digest":""}',
+        # a pid already listed, a stamp without a sequence number, an invalid day
+        '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"pid:7",'
+        '"expected_expiry":"2022-09-03","tx_timestamp":"2022-07-11/2"}]},"digest":""}',
+        '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"pid:8",'
+        '"expected_expiry":"2022-09-03","tx_timestamp":"2022-07-11"}]},"digest":""}',
+        '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"pid:8",'
+        '"expected_expiry":"2022-02-30","tx_timestamp":"2022-07-11/2"}]},"digest":""}',
     ],
 )
 def test_malformed_ledger_line_names_its_number(bad):
@@ -204,6 +215,63 @@ def test_malformed_ledger_line_names_its_number(bad):
     ledger.revoke("pid:7", (2022, 9, 2), now=(2022, 7, 10))
     with pytest.raises(ValueError, match="^ledger line 3: "):
         RevocationLedger.from_text(ledger.to_text() + "\n" + bad + "\n")
+
+
+def test_ledger_bytes_match_known_answer():
+    """The block bytes of a fixed revoke/prune sequence, pinned by a SHA-256
+    computed before the ledger kept its entries in a pid table."""
+    ledger = RevocationLedger()
+    for k in range(40):
+        day = (2022, 1 + k % 12, 1 + k % 28)
+        ledger.revoke(f"pid:{k:x}", (2022 + k % 3, 1 + (7 * k) % 12, 1 + (5 * k) % 28), day)
+        if k % 9 == 8:
+            ledger.prune((2022, 1 + k % 12, 15))
+    ledger.revoke("pid:3", (2030, 1, 1), (2024, 6, 1))
+    ledger.prune((2023, 6, 1))
+    ledger.revoke("pid:ff", (2025, 1, 1), (2023, 6, 1))
+    assert (len(ledger.blocks), len(ledger.entries())) == (3, 22)
+    assert (
+        hashlib.sha256(ledger.to_text().encode()).hexdigest()
+        == "2598bef31aa173a2c3e4e1ef18df201cded2eae9ee0f1c1d2d1c3be196eee337"
+    )
+
+
+def _day(offset: int):
+    return GREGORIAN.from_ordinal(GREGORIAN.to_ordinal((2022, 7, 1)) + offset)
+
+
+_ledger_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("revoke"), st.integers(0, 9), st.integers(0, 90), st.integers(0, 90)),
+        st.tuples(st.just("prune"), st.integers(0, 90)),
+        st.just(("reload",)),
+    ),
+    max_size=25,
+)
+
+
+@given(_ledger_steps)
+def test_ledger_table_matches_its_blocks(steps):
+    ledger = RevocationLedger()
+    for step in steps:
+        if step[0] == "revoke":
+            ledger.revoke(f"pid:{step[1]}", _day(step[2]), _day(step[3]))
+        elif step[0] == "prune":
+            ledger.prune(_day(step[1]))
+        else:
+            ledger = RevocationLedger.from_text(ledger.to_text())
+        parsed = [
+            LedgerEntry(p["pid"], parse_day(p["expected_expiry"]), p["tx_timestamp"])
+            for b in ledger.blocks
+            if b.kind == "entries"
+            for p in b.payload["entries"]
+        ]
+        assert ledger.entries() == parsed
+        assert all(ledger.lookup(e.pid) == e for e in parsed)
+        # Sequence numbers never repeat, so neither do "day/seq" stamps.
+        seqs = [int(e.tx_timestamp.rpartition("/")[2]) for e in parsed]
+        assert len(set(seqs)) == len(seqs)
+        assert ledger.verify()
 
 
 def test_revocation_is_ledger_layer_not_algebraic(provider):
