@@ -15,7 +15,15 @@ an authenticated channel and never cached.
 Everything is driven by a scripted schedule (requests, cache tampering,
 topology edits), so a run is a pure function of its config: identical
 seeds produce byte-identical event logs, and the metrics can be recomputed
-from the log alone.
+from the log alone.  A ``Simulation`` runs once: ``run()`` hands its event
+log and metric rows to the result it returns.
+
+Only the standard library is used.  Each interest runs a ``heapq``
+Dijkstra from the requester that stops once the nearest holders are
+settled; equal-cost ties break as in networkx's ``single_source_dijkstra``
+(the test suite checks this against networkx).  Content is drawn as random
+bytes to fix its digest, but copies keep only their size and whether they
+still match, so a delivery hashes nothing.
 """
 
 import hashlib
@@ -24,9 +32,8 @@ import re
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from random import Random
-
-import networkx as nx
 
 from .envelope import (
     DirectoryEntry,
@@ -304,14 +311,11 @@ link rsu3 vehicle1 latency=10
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class CachedCopy:
-    data: bytes
+    size: int
+    intact: bool = True  # the bytes equal the content's, so its digest matches
     pinned: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
 
 class ContentStore:
@@ -320,9 +324,10 @@ class ContentStore:
     def __init__(self, capacity: int):
         self.capacity = capacity
         self._items: "OrderedDict[str, CachedCopy]" = OrderedDict()
+        self._used = 0  # bytes held, kept in step by put, drop and replace
 
-    def used(self) -> int:
-        return sum(item.size for item in self._items.values())
+    def __contains__(self, name: str) -> bool:
+        return name in self._items
 
     def get(self, name: str) -> CachedCopy | None:
         item = self._items.get(name)
@@ -330,59 +335,56 @@ class ContentStore:
             self._items.move_to_end(name)
         return item
 
-    def peek(self, name: str) -> CachedCopy | None:
-        """Lookup without refreshing the entry's recency."""
-        return self._items.get(name)
-
     def put(self, name: str, copy: CachedCopy) -> list[str]:
         """Insert and return the names evicted to make room.  Items larger
         than the whole store are not cached."""
         if copy.size > self.capacity:
             return []
+        self.drop(name)
         self._items[name] = copy
-        self._items.move_to_end(name)
+        self._used += copy.size
         evicted = []
-        while self.used() > self.capacity:
+        while self._used > self.capacity:
             victim = next(
                 (n for n, item in self._items.items() if not item.pinned), None
             )
             if victim is None or victim == name:
-                del self._items[name]
+                self.drop(name)
                 return evicted
-            del self._items[victim]
+            self.drop(victim)
             evicted.append(victim)
         return evicted
 
     def drop(self, name: str) -> None:
-        self._items.pop(name, None)
+        copy = self._items.pop(name, None)
+        if copy is not None:
+            self._used -= copy.size
 
     def replace(self, name: str, copy: CachedCopy) -> None:
-        if name in self._items:
+        old = self._items.get(name)
+        if old is not None:
             self._items[name] = copy
+            self._used += copy.size - old.size
 
 
-@dataclass
+@dataclass(slots=True)
 class SimNode:
     node_id: str
     kind: NodeKind
     store: ContentStore
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentRecord:
     name: str
     origin: str
     category: DataCategory
-    data: bytes
+    size: int
     digest: bytes
     default: bool
 
-    @property
-    def size(self) -> int:
-        return len(self.data)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestMetric:
     seq: int
     time: int
@@ -447,7 +449,7 @@ class SimulationResult:
 
 
 class Simulation:
-    """One scenario instance.  Build it, then call run()."""
+    """One scenario instance.  Build it, then call run() once."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -463,16 +465,17 @@ class Simulation:
                 raise ScenarioError(f"duplicate node id {nc.node_id!r}")
             self.nodes[nc.node_id] = SimNode(nc.node_id, nc.kind, ContentStore(nc.capacity))
 
-        self.graph = nx.Graph()
-        self.graph.add_nodes_from(self.nodes)
+        # node -> {neighbour: latency}, filled in node order, then link
+        # order; Dijkstra's equal-cost ties follow this order.
+        self.adj: dict[str, dict[str, int]] = {node_id: {} for node_id in self.nodes}
         for link in config.links:
             for end in (link.a, link.b):
                 if end not in self.nodes:
                     raise ScenarioError(f"link references unknown node {end!r}")
             if link.latency_ms < 0:
                 raise ScenarioError("link latency must be >= 0")
-            self.graph.add_edge(link.a, link.b, latency=link.latency_ms)
-        if self.nodes and not nx.is_connected(self.graph):
+            self._link(link.a, link.b, link.latency_ms)
+        if self.nodes and not self._connected():
             raise ScenarioError("topology must be connected")
 
         self.contents: dict[str, ContentRecord] = {}
@@ -484,13 +487,14 @@ class Simulation:
                 raise ScenarioError(f"content {cc.name!r} has unknown origin {cc.origin!r}")
             if origin.kind not in SERVER_KINDS:
                 raise ScenarioError(f"content origin {cc.origin!r} must be a server")
-            data = self.rng.randbytes(cc.size)
+            if cc.size < 0:
+                raise ScenarioError(f"content {cc.name!r} has negative size {cc.size}")
             self.contents[cc.name] = ContentRecord(
                 name=cc.name,
                 origin=cc.origin,
                 category=cc.category,
-                data=data,
-                digest=hashlib.sha256(data).digest(),
+                size=cc.size,
+                digest=hashlib.sha256(self.rng.randbytes(cc.size)).digest(),
                 default=cc.default,
             )
 
@@ -504,6 +508,22 @@ class Simulation:
 
     def _log(self, line: str) -> None:
         self.events.append(line)
+
+    def _link(self, a: str, b: str, latency: int) -> None:
+        # An existing edge keeps its place in both adjacency dicts.
+        self.adj[a][b] = latency
+        self.adj[b][a] = latency
+
+    def _connected(self) -> bool:
+        start = next(iter(self.adj))
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in self.adj[frontier.pop()]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    frontier.append(neighbour)
+        return len(seen) == len(self.adj)
 
     def _dir_secret(self, origin: str) -> bytes:
         return hashlib.sha256(
@@ -551,48 +571,65 @@ class Simulation:
                     continue
                 if node_id == record.origin:
                     continue
-                node.store.put(name, CachedCopy(record.data, pinned=True))
-                if node.store.peek(name) is not None:
+                node.store.put(name, CachedCopy(record.size, pinned=True))
+                if name in node.store:
                     self._log(f"ev=preload t=0 node={node_id} name={name}")
-
-    def _directory_hash_for(self, record: ContentRecord) -> bytes | None:
-        directory = self.directories.get(record.origin)
-        if directory is None:
-            return None
-        entry = directory.find(record.name)
-        return entry.file_hash if entry else None
 
     # ------------------------------------------------------------------
 
-    def _holders(self, name: str, exclude: set[str]) -> list[str]:
-        record = self.contents[name]
-        holders = [record.origin]
-        for node_id, node in self.nodes.items():
-            if node_id != record.origin and node.store.peek(name) is not None:
-                holders.append(node_id)
-        return sorted(h for h in holders if h not in exclude)
-
-    def _nearest(self, requester: str, holders: list[str]):
-        dist, paths = nx.single_source_dijkstra(self.graph, requester, weight="latency")
-        best = None
-        for holder in holders:
-            if holder not in dist:
+    def _nearest(self, requester: str, name: str, exclude: set[str]):
+        """Nearest holder of ``name`` outside ``exclude`` as (holder, path,
+        latency), or None if none is reachable.  Holders are the origin and
+        every store with a copy.  Among holders at the same smallest latency
+        the smallest node id wins, and the path is the one networkx's
+        ``single_source_dijkstra`` gives: a node's parent changes only on a
+        strictly shorter distance, and the heap breaks ties by push order.
+        The search stops once every node at the winning latency is settled."""
+        origin = self.contents[name].origin
+        nodes, adj = self.nodes, self.adj
+        settled: set[str] = set()
+        best = {requester: 0}
+        parent: dict[str, str] = {}
+        heap = [(0, 0, requester)]
+        pushes = 1
+        holders: list[str] = []
+        bound = None
+        while heap:
+            d, _, v = heappop(heap)
+            if bound is not None and d > bound:
+                break
+            if v in settled:
                 continue
-            key = (dist[holder], holder)
-            if best is None or key < best[0]:
-                best = (key, holder, paths[holder])
-        if best is None:
+            settled.add(v)
+            if v not in exclude and (v == origin or name in nodes[v].store):
+                holders.append(v)
+                bound = d
+            for u, cost in adj[v].items():
+                if u in settled:
+                    continue
+                du = d + cost
+                if u not in best or du < best[u]:
+                    best[u] = du
+                    parent[u] = v
+                    heappush(heap, (du, pushes, u))
+                    pushes += 1
+        if not holders:
             return None
-        (latency, _), holder, path = best
-        return holder, path, latency
+        holder = min(holders)
+        path = [holder]
+        while path[-1] != requester:
+            path.append(parent[path[-1]])
+        path.reverse()
+        return holder, path, bound
 
-    def _copy_at(self, node_id: str, name: str) -> bytes:
-        record = self.contents[name]
-        if node_id == record.origin:
-            return record.data
+    def _copy_intact(self, node_id: str, name: str) -> bool:
+        """Whether the holder's bytes match the content's digest; reading a
+        cached copy refreshes its recency."""
+        if node_id == self.contents[name].origin:
+            return True
         copy = self.nodes[node_id].store.get(name)
         assert copy is not None
-        return copy.data
+        return copy.intact
 
     def submit_interest(self, requester: str, name: str, at_time: int = 0) -> RequestMetric:
         """Resolve one interest; returns the per-request metric row."""
@@ -604,20 +641,22 @@ class Simulation:
         if name not in self.contents:
             return self._finish_not_found(seq, at_time, requester, name)
         record = self.contents[name]
-        expected = self._directory_hash_for(record)
+        # Copies of listed content are checked against the directory's hash,
+        # which an intact copy matches and a tampered one does not.
+        directory = self.directories.get(record.origin)
+        checked = directory is not None and directory.find(name) is not None
         failed: set[str] = set()
         retries = 0
         while True:
-            holders = self._holders(name, failed)
-            choice = self._nearest(requester, holders) if holders else None
+            choice = self._nearest(requester, name, failed)
             if choice is None:
                 return self._finish_not_found(seq, at_time, requester, name)
             holder, path, latency = choice
             hops = len(path) - 1
             if hops > self.config.hop_budget:
                 return self._finish_not_found(seq, at_time, requester, name)
-            data = self._copy_at(holder, name)
-            if expected is not None and hashlib.sha256(data).digest() != expected:
+            intact = self._copy_intact(holder, name)
+            if checked and not intact:
                 # Corrupted copy: reject, drop it at the holder, ask the
                 # next nearest one.
                 self._integrity_events += 1
@@ -663,10 +702,10 @@ class Simulation:
                 node = self.nodes[node_id]
                 if node_id == record.origin or node.store.capacity <= 0:
                     continue
-                if node.store.peek(record.name) is not None:
+                if record.name in node.store:
                     continue
-                evicted = node.store.put(record.name, CachedCopy(record.data))
-                if node.store.peek(record.name) is not None:
+                evicted = node.store.put(record.name, CachedCopy(record.size))
+                if record.name in node.store:
                     self._log(f"ev=cache t={t} node={node_id} name={record.name}")
                 for victim in evicted:
                     self._log(f"ev=evict t={t} node={node_id} name={victim}")
@@ -704,8 +743,14 @@ class Simulation:
         copy = node.store.get(name)
         if copy is None:
             raise ScenarioError(f"no cached copy of {name!r} at {node_id!r} to tamper")
-        corrupted = bytes([copy.data[0] ^ 0xFF]) + copy.data[1:] if copy.data else b"\xff"
-        node.store.replace(name, CachedCopy(corrupted, copy.pinned))
+        if copy.size:
+            # Flip byte 0: a second flip restores a copy of the right size,
+            # but the 1-byte stand-in for empty content never matches.
+            intact = not copy.intact and copy.size == self.contents[name].size
+            corrupted = CachedCopy(copy.size, intact, copy.pinned)
+        else:
+            corrupted = CachedCopy(1, False, copy.pinned)  # the byte 0xff
+        node.store.replace(name, corrupted)
         self._log(f"ev=tamper t={op.time} node={node_id} name={name}")
 
     def _apply_relink(self, op: ScheduledOp) -> None:
@@ -720,13 +765,14 @@ class Simulation:
         for end in (a, b):
             if end not in self.nodes:
                 raise ScenarioError(f"relink references unknown node {end!r}")
-        self.graph.add_edge(a, b, latency=latency)
+        self._link(a, b, latency)
         self._log(f"ev=relink t={op.time} a={a} b={b} latency={latency}")
 
     def _apply_unlink(self, op: ScheduledOp) -> None:
         a, b = op.params.get("a", ""), op.params.get("b", "")
-        if self.graph.has_edge(a, b):
-            self.graph.remove_edge(a, b)
+        if b in self.adj.get(a, ()):
+            del self.adj[a][b]
+            self.adj[b].pop(a, None)  # absent for a self-loop
         self._log(f"ev=unlink t={op.time} a={a} b={b}")
 
     def run(self) -> SimulationResult:
@@ -743,10 +789,11 @@ class Simulation:
                 self._apply_unlink(op)
             else:
                 raise ScenarioError(f"unknown scheduled op {op.kind!r}")
-        return SimulationResult(self.metrics(), tuple(self.events))
-
-    def metrics(self) -> Metrics:
-        return Metrics.from_rows(self._metrics_rows, self._integrity_events)
+        # Hand the log and rows over, so a finished Simulation holds neither.
+        metrics = Metrics.from_rows(self._metrics_rows, self._integrity_events)
+        result = SimulationResult(metrics, tuple(self.events))
+        self.events, self._metrics_rows = [], []
+        return result
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationResult:

@@ -220,7 +220,8 @@ class RevocationLedger:
 
         The surviving entries are re-blocked behind a pruning record that
         carries the prior head digest, keeping the chain verifiable while
-        the expired records physically disappear.
+        the expired records physically disappear.  The record also keeps
+        the stamp counter, so a pruned entry's stamp is never issued again.
         """
         self.calendar.validate_day(clock)
         clock_ord = self.calendar.to_ordinal(clock)
@@ -240,6 +241,7 @@ class RevocationLedger:
                 "pruned_at": format_day(clock),
                 "removed": removed,
                 "prior_head": prior_head,
+                "tx_seq": self._tx_seq,
             },
         )
         if survivors:
@@ -286,7 +288,8 @@ class RevocationLedger:
         A line that is not a block, lacks a field, or holds an invalid day,
         a stamp without an integer ``/seq`` suffix or a repeated pid raises
         ValueError naming it.  New stamps continue after the largest loaded
-        one.  The chain is not verified here."""
+        one and the counter a prune block kept.  The chain is not verified
+        here."""
         ledger = cls(calendar=calendar)
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -294,6 +297,12 @@ class RevocationLedger:
             try:
                 raw = json.loads(line)
                 block = Block(raw["index"], raw["kind"], raw["prev"], raw["payload"], raw["digest"])
+                if block.kind == "prune":
+                    # Prune blocks written before the counter was kept lack it.
+                    seq = block.payload.get("tx_seq", 0)
+                    if type(seq) is not int:
+                        raise ValueError(f"prune counter {seq!r} is not an integer")
+                    ledger._tx_seq = max(ledger._tx_seq, seq)
                 for payload in block.payload["entries"] if block.kind == "entries" else ():
                     entry = _entry_from_payload(payload)
                     calendar.validate_day(entry.expected_expiry)

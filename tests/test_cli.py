@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tskpabe
 from tskpabe.cli import main
 
 SUITE = "transparent:2147483647"
@@ -454,6 +459,28 @@ def test_sim_run_and_replay(capsys, tmp_path):
     assert code == 0
     payload = json.loads(json_out)
     assert payload["requests"] == 2 and payload["cache_hits"] == 1
+
+
+def test_sim_run_rejects_negative_content_size(capsys, tmp_path):
+    config = tmp_path / "scenario.cfg"
+    config.write_text(
+        "node origin kind=third-party-server capacity=0\n"
+        "content /neg origin=origin size=-5 category=public-traffic\n"
+    )
+    code, out, err = run(capsys, "sim", "run", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: content '/neg' has negative size -5\n"
+
+
+def test_cli_import_leaves_networkx_out():
+    src = str(Path(tskpabe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, tskpabe.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_ledger_lifecycle(capsys, tmp_path):

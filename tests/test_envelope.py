@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from random import Random
 
@@ -207,6 +208,40 @@ def test_package_serialization_roundtrip(world):
     loaded = package_from_bytes(data)
     assert loaded == package
     assert open_package(scheme, pk, loaded, entitled) == content
+
+
+@pytest.mark.parametrize("mode", [Mode.REPAIRED, Mode.PAPER])
+def test_relabelled_attributes(mode):
+    """No digest covers the package's attribute labels.  In repaired mode
+    nothing in the ciphertext depends on them either, so rewriting the labels
+    of a platinum package to the key's gold and family opens it.  In paper
+    mode the decryption helper depends on the label, so the unwrapped key is
+    wrong and the chunks fail to authenticate."""
+    scheme = TimedKpAbe(TransparentSuite(P), mode)
+    rng = Random(31)
+    pk, mk = scheme.setup(["gold", "family", "platinum"], depth=4, rng=rng)
+    sk = scheme.keygen(
+        pk,
+        mk,
+        scheme.suite.hash_to_scalar(b"carol"),
+        content_cover(),
+        compile_policy("gold AND family", P),
+        rng=rng,
+    )
+    content = b"platinum only"
+    package = seal(scheme, pk, "movie", content, content_cover(), ["platinum"], rng=rng)
+    with pytest.raises(AccessDeniedError):
+        open_package(scheme, pk, package, sk)
+    wrapped = dataclasses.replace(package.wrapped_key, attributes=("family", "gold"))
+    forged = package_from_bytes(
+        package_to_bytes(dataclasses.replace(package, wrapped_key=wrapped))
+    )
+    assert forged.attributes == ("family", "gold")
+    if mode is Mode.REPAIRED:
+        assert open_package(scheme, pk, forged, sk) == content
+    else:
+        with pytest.raises(IntegrityError):
+            open_package(scheme, pk, forged, sk)
 
 
 # Known answers: sealed chunks and encoded packages are a wire format, so

@@ -5,6 +5,7 @@ import pytest
 
 from tskpabe.ndnsim import (
     FIVE_NODE_LINE,
+    CachedCopy,
     DataCategory,
     Level,
     Protection,
@@ -447,3 +448,151 @@ def test_event_log_known_answer(seed):
     digest = hashlib.sha256("\n".join(result.events).encode()).hexdigest()
     assert digest == EVENT_LOG_SHA256[seed]
     assert metrics_from_events(result.events) == result.metrics
+
+
+def test_negative_content_size_rejected():
+    text = line5("content /neg origin=origin size=-5 category=public-traffic\n")
+    with pytest.raises(ScenarioError, match="^content '/neg' has negative size -5$"):
+        Simulation(parse_scenario(text))
+
+
+DOUBLE_TAMPER = line5(
+    CONTENT
+    + "content /radio origin=origin size=500 category=public-infotainment default=1\n"
+    + "request t=1 requester=vehicle1 name=/media/clip.bin\n"
+    # Two flips of byte 0 restore the copy: no integrity retry.
+    + "tamper t=2 node=rsu3 name=/media/clip.bin\n"
+    + "tamper t=3 node=rsu3 name=/media/clip.bin\n"
+    + "request t=4 requester=vehicle1 name=/media/clip.bin\n"
+    + "tamper t=5 node=rsu3 name=/media/clip.bin\n"
+    + "tamper t=6 node=rsu2 name=/media/clip.bin\n"
+    + "tamper t=7 node=rsu2 name=/media/clip.bin\n"
+    + "request t=8 requester=vehicle1 name=/media/clip.bin\n"
+    + "tamper t=9 node=rsu1 name=/media/clip.bin\n"
+    + "tamper t=10 node=rsu1 name=/media/clip.bin\n"
+    + "tamper t=11 node=rsu1 name=/media/clip.bin\n"
+    + "request t=12 requester=rsu1 name=/media/clip.bin\n"
+    # A pinned preload survives a double tamper too.
+    + "tamper t=13 node=rsu3 name=/radio\n"
+    + "tamper t=14 node=rsu3 name=/radio\n"
+    + "request t=15 requester=vehicle1 name=/radio\n"
+)
+
+ZERO_SIZE_TAMPER = (
+    "node origin kind=third-party-server capacity=0\n"
+    "node rsu1 kind=rsu capacity=1000\n"
+    "node rsu2 kind=rsu capacity=1000\n"
+    "node vehicle1 kind=vehicle capacity=0\n"
+    "link origin rsu1 latency=10\n"
+    "link rsu1 rsu2 latency=10\n"
+    "link rsu2 vehicle1 latency=10\n"
+    "content /a origin=origin size=1000 category=public-infotainment\n"
+    "content /y origin=origin size=0 category=public-traffic\n"
+    "content /z origin=origin size=0 category=public-traffic\n"
+    "request t=1 requester=vehicle1 name=/z\n"
+    "request t=2 requester=vehicle1 name=/a\n"
+    # An empty copy becomes one byte, so the store runs over capacity; a
+    # second flip leaves it corrupted.
+    "tamper t=3 node=rsu2 name=/z\n"
+    "tamper t=4 node=rsu2 name=/z\n"
+    "request t=5 requester=vehicle1 name=/z\n"
+    "tamper t=6 node=rsu1 name=/z\n"
+    "request t=7 requester=vehicle1 name=/y\n"
+    "request t=8 requester=vehicle1 name=/z\n"
+    "request t=9 requester=rsu1 name=/z\n"
+)
+
+# SHA-256 of the newline-joined event log, computed with the simulator that
+# still hashed content bytes on every delivery.
+TAMPER_LOG_SHA256 = {
+    "double": "faf1c3fa6cd6877cac6843244fba8b38bd9b902df6c6743e474e9875e5e35d36",
+    "zero-size": "dee45939db33a3e2fbb97f0bdf778767a56cda9aa97a4e6a0f8ad31aefb33c2b",
+}
+
+
+@pytest.mark.parametrize(
+    ("case", "text", "served_from", "retries"),
+    [
+        ("double", DOUBLE_TAMPER, ["origin", "rsu3", "rsu2", "origin", "rsu3"], [0, 0, 1, 1, 0]),
+        ("zero-size", ZERO_SIZE_TAMPER,
+         ["origin", "origin", "rsu1", "origin", "rsu2", "origin"], [0, 0, 1, 0, 0, 1]),
+    ],
+)
+def test_tamper_event_log_known_answer(case, text, served_from, retries):
+    result = run_scenario(parse_scenario(text))
+    rows = result.metrics.per_request
+    assert [m.served_from for m in rows] == served_from
+    assert [m.integrity_retries for m in rows] == retries
+    digest = hashlib.sha256("\n".join(result.events).encode()).hexdigest()
+    assert digest == TAMPER_LOG_SHA256[case]
+
+
+def test_finished_simulation_hands_over_its_log():
+    text = line5(CONTENT + "request t=1 requester=vehicle1 name=/media/clip.bin\n")
+    sim = Simulation(parse_scenario(text))
+    result = sim.run()
+    assert result.metrics.requests == 1 and result.events
+    assert sim.events == [] and sim._metrics_rows == []
+
+
+def _random_topology(rng: Random) -> str:
+    n = rng.randint(2, 12)
+    ids = [f"n{i:02d}" for i in range(n)]
+    rng.shuffle(ids)  # node order differs from id order
+    kinds = ["third-party-server"] + ["rsu"] * (n - 1)
+    lines = [f"node {i} kind={k} capacity=100000" for i, k in zip(ids, kinds)]
+    links = [(ids[k], rng.choice(ids[:k])) for k in range(1, n)]
+    links += [tuple(rng.sample(ids, 2)) for _ in range(rng.randint(0, 2 * n))]
+    if rng.random() < 0.2:
+        links.append((ids[0], ids[0]))
+    lines += [f"link {a} {b} latency={rng.choice((0, 1, 1, 2, 2, 3))}" for a, b in links]
+    lines.append(f"content /x origin={ids[0]} size=10 category=public-traffic")
+    for t in range(1, rng.randint(1, 6)):
+        a, b = rng.choice(links) if rng.random() < 0.5 else rng.sample(ids, 2)
+        if rng.random() < 0.5:
+            lines.append(f"unlink t={t} a={a} b={b}")
+        else:
+            lines.append(f"relink t={t} a={a} b={b} latency={rng.choice((0, 1, 2, 3))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_router_matches_networkx_dijkstra():
+    """The early-exit router picks the holder, path and latency that a full
+    networkx Dijkstra over the same edits picks: the nearest holder, ties
+    to the smallest id, networkx's path among equal-cost ones."""
+    nx = pytest.importorskip("networkx")
+    rng = Random(8)
+    checked = 0
+    for _ in range(150):
+        config = parse_scenario(_random_topology(rng))
+        sim = Simulation(config)
+        sim.run()  # applies the relinks and unlinks
+        graph = nx.Graph()
+        graph.add_nodes_from(n.node_id for n in config.nodes)
+        for link in config.links:
+            graph.add_edge(link.a, link.b, latency=link.latency_ms)
+        for op in config.schedule:
+            a, b = op.params["a"], op.params["b"]
+            if op.kind == "relink":
+                graph.add_edge(a, b, latency=int(op.params["latency"]))
+            elif graph.has_edge(a, b):
+                graph.remove_edge(a, b)
+        ids = [n.node_id for n in config.nodes]
+        origin = config.contents[0].origin
+        for node_id in rng.sample(ids, rng.randint(0, len(ids) - 1)):
+            if node_id != origin:
+                sim.nodes[node_id].store.put("/x", CachedCopy(10))
+        for requester in ids:
+            exclude = set(rng.sample(ids, rng.randint(0, len(ids) // 2)))
+            dist, paths = nx.single_source_dijkstra(graph, requester, weight="latency")
+            holders = [
+                h for h in ids
+                if h not in exclude and h in dist and (h == origin or "/x" in sim.nodes[h].store)
+            ]
+            want = None
+            if holders:
+                holder = min(holders, key=lambda h: (dist[h], h))
+                want = (holder, paths[holder], dist[holder])
+            assert sim._nearest(requester, "/x", exclude) == want
+            checked += want is not None
+    assert checked > 500

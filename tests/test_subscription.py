@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tskpabe.groups import TransparentSuite
 from tskpabe.scheme import Mode, TimedKpAbe, component_counts
 from tskpabe.subscription import (
+    Block,
     InfotainmentAgent,
     LedgerEntry,
     RevocationLedger,
@@ -208,6 +209,9 @@ def test_ledger_text_roundtrip(tmp_path):
         '"expected_expiry":"2022-09-03","tx_timestamp":"2022-07-11"}]},"digest":""}',
         '{"index":1,"kind":"entries","prev":"","payload":{"entries":[{"pid":"pid:8",'
         '"expected_expiry":"2022-02-30","tx_timestamp":"2022-07-11/2"}]},"digest":""}',
+        # a prune block whose stamp counter is not an integer
+        '{"index":1,"kind":"prune","prev":"","payload":{"tx_seq":"3"},"digest":""}',
+        '{"index":1,"kind":"prune","prev":"","payload":{"tx_seq":1e999},"digest":""}',
     ],
 )
 def test_malformed_ledger_line_names_its_number(bad):
@@ -218,8 +222,9 @@ def test_malformed_ledger_line_names_its_number(bad):
 
 
 def test_ledger_bytes_match_known_answer():
-    """The block bytes of a fixed revoke/prune sequence, pinned by a SHA-256
-    computed before the ledger kept its entries in a pid table."""
+    """The block bytes of a fixed revoke/prune sequence, pinned by a SHA-256.
+    Entry blocks are unchanged since the first release; the hash was
+    re-pinned when prune blocks began to record the stamp counter."""
     ledger = RevocationLedger()
     for k in range(40):
         day = (2022, 1 + k % 12, 1 + k % 28)
@@ -232,8 +237,35 @@ def test_ledger_bytes_match_known_answer():
     assert (len(ledger.blocks), len(ledger.entries())) == (3, 22)
     assert (
         hashlib.sha256(ledger.to_text().encode()).hexdigest()
-        == "2598bef31aa173a2c3e4e1ef18df201cded2eae9ee0f1c1d2d1c3be196eee337"
+        == "e38ac80e6a0ba61115da872bc8bf63c8e73995180416c6a70ba37ed457c11744"
     )
+
+
+def test_pruned_stamp_is_not_reissued_after_reload():
+    ledger = RevocationLedger()
+    first = ledger.revoke("pid:a", (2022, 12, 31), now=(2022, 7, 5))
+    second = ledger.revoke("pid:b", (2022, 7, 1), now=(2022, 7, 5))  # already expired
+    assert ledger.prune((2022, 7, 5)) == 1
+    ledger = RevocationLedger.from_text(ledger.to_text())
+    third = ledger.revoke("pid:c", (2022, 12, 31), now=(2022, 7, 5))
+    stamps = [first.tx_timestamp, second.tx_timestamp, third.tx_timestamp]
+    assert stamps == ["2022-07-05/1", "2022-07-05/2", "2022-07-05/3"]
+
+
+def test_prune_block_without_counter_still_loads():
+    """Prune blocks written before the counter was kept load as before:
+    stamps continue after the largest surviving entry."""
+    ledger = RevocationLedger()
+    ledger.revoke("pid:a", (2022, 7, 1), now=(2022, 7, 5))
+    ledger.revoke("pid:b", (2022, 12, 31), now=(2022, 7, 5))
+    ledger.prune((2022, 7, 5))
+    prune = ledger.blocks[0]
+    payload = {k: v for k, v in prune.payload.items() if k != "tx_seq"}
+    ledger.blocks[0] = Block.make(0, "prune", "", payload)
+    ledger.blocks[1] = Block.make(1, "entries", ledger.blocks[0].digest, ledger.blocks[1].payload)
+    legacy = RevocationLedger.from_text(ledger.to_text())
+    assert legacy.verify()
+    assert legacy.revoke("pid:c", (2022, 12, 31), (2022, 7, 6)).tx_timestamp == "2022-07-06/3"
 
 
 def _day(offset: int):
@@ -253,9 +285,16 @@ _ledger_steps = st.lists(
 @given(_ledger_steps)
 def test_ledger_table_matches_its_blocks(steps):
     ledger = RevocationLedger()
+    issued = set()  # every sequence number a revoke handed out
     for step in steps:
         if step[0] == "revoke":
-            ledger.revoke(f"pid:{step[1]}", _day(step[2]), _day(step[3]))
+            pid = f"pid:{step[1]}"
+            is_new = ledger.lookup(pid) is None
+            entry = ledger.revoke(pid, _day(step[2]), _day(step[3]))
+            if is_new:
+                seq = int(entry.tx_timestamp.rpartition("/")[2])
+                assert seq not in issued
+                issued.add(seq)
         elif step[0] == "prune":
             ledger.prune(_day(step[1]))
         else:
