@@ -10,9 +10,8 @@ print match=0 and flip the exit code.
 import argparse
 import sys
 
-from tskpabe.cli import bench_instance
 from tskpabe.groups import DEFAULT_MODULUS, TransparentSuite
-from tskpabe.scheme import Mode
+from tskpabe.scheme import Mode, bench_instance
 
 
 def main() -> int:

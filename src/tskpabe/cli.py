@@ -21,9 +21,8 @@ from .scheme import (
     Mode,
     TimedKpAbe,
     UnknownAttributeError,
+    bench_instance,
     component_counts,
-    predicted_counts,
-    predicted_pairings,
 )
 from .subscription import RevocationLedger, derive_pseudo_id
 from .timetree import GREGORIAN, IDEALIZED_31, TimeCover, TimeNode, TimeWindow, parse_day, set_cover
@@ -213,42 +212,6 @@ def _cmd_audit(args) -> int:
         )
     print(f"all_closed={int(report.all_closed)}")
     return EXIT_OK
-
-
-def _bench_cover(start_day, size, calendar=GREGORIAN) -> TimeCover:
-    nodes = []
-    day = start_day
-    for _ in range(size):
-        nodes.append(TimeNode(day))
-        day = calendar.next_day(day)
-    return TimeCover.from_nodes(nodes, calendar)
-
-
-def bench_instance(suite, mode: Mode, U: int, depth: int, l: int, tk: int, tc: int, seed: int):
-    """Build one instance for the size/pairing bench and measure it."""
-    scheme = TimedKpAbe(suite, mode)
-    rng = Random(seed)
-    pk, mk = scheme.setup(U, depth=depth, rng=rng)
-    policy = " AND ".join(pk.universe[i % U] for i in range(l))
-    access = compile_policy(policy, suite.p)
-    key_cover = _bench_cover((2022, 3, 10), tk)
-    ct_cover = _bench_cover((2022, 3, 10), tc)
-    pid = suite.hash_to_scalar(b"bench-pid")
-    sk = scheme.keygen(pk, mk, pid, key_cover, access, rng=rng)
-    message = suite.random_target(rng)
-    ct = scheme.encrypt(pk, message, ct_cover, pk.universe, rng=rng)
-    before = suite.counters.snapshot()
-    recovered = scheme.decrypt(pk, ct, sk)
-    pairings = suite.counters.since(before).pairings
-    used_rows = len(sk.access.rows_for(ct.attributes))
-    return {
-        "pk": (component_counts(pk), predicted_counts("pk", universe_size=U, depth=depth)),
-        "sk": (component_counts(sk), predicted_counts("sk", rows=l, cover_size=tk)),
-        "ct": (component_counts(ct), predicted_counts("ct", cover_size=tc)),
-        "pairings": (pairings, predicted_pairings(used_rows)),
-        "used_rows": used_rows,
-        "decrypted": recovered is not None,
-    }
 
 
 def _cmd_bench(args) -> int:

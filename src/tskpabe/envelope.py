@@ -6,12 +6,16 @@ chunk by chunk so receivers can verify the portions they already hold.
 Each chunk is independently authenticated; the manifest pins the plaintext
 digest, the per-chunk digests, and the wrapped key.
 
-The data-encapsulation mechanism is a keyed blake2b stream with an
-appended keyed tag: deterministic given the nonce, authenticated, and
-entirely unremarkable.  Its sealed bytes are a fixed format, pinned by
-known-answer tests; the hashing and the XOR run in C, which gives about
-35-45 MiB/s each way on a 2-vCPU machine with CPython 3.11.  Swap in a
-real AEAD for anything beyond simulation.
+The data-encapsulation mechanism is encrypt-then-MAC from the standard
+library (the generic composition of Bellare and Namprempre): the body is
+the chunk XOR ``SHAKE128("dem-stream.v1" || key || nonce)`` (FIPS 202),
+and the 32-byte tag is ``HMAC-SHA256(key, "dem-tag.v1" || nonce ||
+body)``.  Content keys are 32 bytes and chunk nonces 20, so the
+concatenations are unambiguous.  It seals and opens at about 75-90 MiB/s on a 2-vCPU
+machine with CPython 3.11.  Packages carry a format version byte after
+their magic; any other version, or none, as in every older package, is
+rejected.  The pairing suite is still transparent, so the wrapped key
+hides nothing: this is a simulation, not a secure envelope.
 
 The directory mirrors the roadside workflow: a sorted list of resource
 names with file hashes, timestamps and descriptions, signed by its issuer
@@ -26,12 +30,15 @@ from typing import Mapping
 
 from .scheme import Ciphertext, PrivateKey, PublicParams, TimedKpAbe, ct_from_bytes, ct_to_bytes
 from .timetree import TimeCover
-from .wire import Reader, pack_bytes, pack_str, pack_u32, pack_u64
+from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
 DEFAULT_CHUNK_SIZE = 1 << 20  # 1 MiB
 
 _KDF_LABEL = b"content-key.v1"
+_STREAM_LABEL = b"dem-stream.v1"
+_TAG_LABEL = b"dem-tag.v1"
 _PACKAGE_MAGIC = b"TKPK"
+_PACKAGE_VERSION = 1
 _DIRECTORY_MAGIC = b"TKDR"
 _NONCE_BYTES = 16
 
@@ -63,32 +70,19 @@ def derive_content_key(message) -> bytes:
 
 
 class StreamDem:
-    """Keyed blake2b stream permutation with an appended keyed digest.
-
-    Keystream block ``i`` is ``blake2b(nonce || u64be(i), key, 64)``; the
-    keyed state over the nonce is built once and copied per block, which
-    yields the same digests as keying every block afresh."""
+    """SHAKE128 keystream XORed into the chunk, then an HMAC-SHA256 tag
+    over the nonce and the body; see the module docstring."""
 
     TAG_BYTES = 32
-    _BLOCK = 64
-
-    def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
-        base = hashlib.blake2b(nonce, key=key, digest_size=self._BLOCK)
-        blocks = []
-        for counter in range((length + self._BLOCK - 1) // self._BLOCK):
-            block = base.copy()
-            block.update(counter.to_bytes(8, "big"))
-            blocks.append(block.digest())
-        return b"".join(blocks)[:length]
 
     def _tag(self, key: bytes, nonce: bytes, body: bytes | memoryview) -> bytes:
-        tag = hashlib.blake2b(nonce, key=key, digest_size=self.TAG_BYTES)
-        tag.update(body)
-        return tag.digest()
+        mac = hmac.new(key, _TAG_LABEL + nonce, hashlib.sha256)
+        mac.update(body)
+        return mac.digest()
 
     def _xor_stream(self, key: bytes, nonce: bytes, data: bytes | memoryview) -> bytes:
-        # XOR as one big integer so the byte work runs in C.
-        stream = self._keystream(key, nonce, len(data))
+        # One C call for the keystream; XOR as big integers, so in C too.
+        stream = hashlib.shake_128(_STREAM_LABEL + key + nonce).digest(len(data))
         mixed = int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
         return mixed.to_bytes(len(data), "big")
 
@@ -207,6 +201,7 @@ def open_package(
 def package_to_bytes(package: ContentPackage) -> bytes:
     parts = [
         _PACKAGE_MAGIC,
+        pack_u8(_PACKAGE_VERSION),
         pack_str(package.name),
         pack_u64(package.content_size),
         pack_u32(package.chunk_size),
@@ -225,10 +220,15 @@ def package_to_bytes(package: ContentPackage) -> bytes:
 def package_from_bytes(data: bytes) -> ContentPackage:
     reader = Reader(data)
     reader.expect(_PACKAGE_MAGIC)
+    version = reader.u8()
+    if version != _PACKAGE_VERSION:
+        raise WireError(f"unsupported package version {version}")
     name = reader.str_()
     content_size = reader.u64()
     chunk_size = reader.u32()
     nonce = reader.bytes_()
+    if len(nonce) != _NONCE_BYTES:
+        raise WireError(f"package nonce must be {_NONCE_BYTES} bytes")
     plaintext_digest = reader.bytes_()
     count = reader.u32()
     chunk_digests = tuple(reader.bytes_() for _ in range(count))

@@ -499,6 +499,7 @@ class Simulation:
             )
 
         self.directories: dict[str, SignedDirectory] = {}
+        self._listed: dict[str, frozenset[str]] = {}  # origin -> names in its directory
         self._trusted: dict[str, bytes] = {}
         self._build_directories()
         self._verify_directories()
@@ -550,6 +551,7 @@ class Simulation:
             self.directories[origin] = build_directory(
                 by_origin[origin], KeyedDigestSigner(origin, secret)
             )
+            self._listed[origin] = frozenset(entry.name for entry in by_origin[origin])
 
     def _verify_directories(self) -> None:
         vehicles = sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.VEHICLE)
@@ -643,8 +645,7 @@ class Simulation:
         record = self.contents[name]
         # Copies of listed content are checked against the directory's hash,
         # which an intact copy matches and a tampered one does not.
-        directory = self.directories.get(record.origin)
-        checked = directory is not None and directory.find(name) is not None
+        checked = name in self._listed.get(record.origin, ())
         failed: set[str] = set()
         retries = 0
         while True:

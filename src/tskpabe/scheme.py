@@ -40,7 +40,7 @@ from .groups import (
     TransparentSuite,
 )
 from .lsss import AccessStructure
-from .timetree import TimeCover, TimeNode
+from .timetree import GREGORIAN, TimeCover, TimeNode
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u16
 
 _MAGIC = b"TSKA"
@@ -186,6 +186,42 @@ def predicted_counts(kind: str, **params) -> tuple[int, int]:
 
 def predicted_pairings(used_rows: int) -> int:
     return 2 * used_rows + 3
+
+
+def _bench_cover(start_day, size, calendar=GREGORIAN) -> TimeCover:
+    nodes = []
+    day = start_day
+    for _ in range(size):
+        nodes.append(TimeNode(day))
+        day = calendar.next_day(day)
+    return TimeCover.from_nodes(nodes, calendar)
+
+
+def bench_instance(suite, mode: Mode, U: int, depth: int, l: int, tk: int, tc: int, seed: int):
+    """Build one instance for the size/pairing bench and measure it."""
+    scheme = TimedKpAbe(suite, mode)
+    rng = Random(seed)
+    pk, mk = scheme.setup(U, depth=depth, rng=rng)
+    policy = " AND ".join(pk.universe[i % U] for i in range(l))
+    access = lsss.compile_policy(policy, suite.p)
+    key_cover = _bench_cover((2022, 3, 10), tk)
+    ct_cover = _bench_cover((2022, 3, 10), tc)
+    pid = suite.hash_to_scalar(b"bench-pid")
+    sk = scheme.keygen(pk, mk, pid, key_cover, access, rng=rng)
+    message = suite.random_target(rng)
+    ct = scheme.encrypt(pk, message, ct_cover, pk.universe, rng=rng)
+    before = suite.counters.snapshot()
+    recovered = scheme.decrypt(pk, ct, sk)
+    pairings = suite.counters.since(before).pairings
+    used_rows = len(sk.access.rows_for(ct.attributes))
+    return {
+        "pk": (component_counts(pk), predicted_counts("pk", universe_size=U, depth=depth)),
+        "sk": (component_counts(sk), predicted_counts("sk", rows=l, cover_size=tk)),
+        "ct": (component_counts(ct), predicted_counts("ct", cover_size=tc)),
+        "pairings": (pairings, predicted_pairings(used_rows)),
+        "used_rows": used_rows,
+        "decrypted": recovered is not None,
+    }
 
 
 def _normalize_universe(universe) -> tuple[str, ...]:

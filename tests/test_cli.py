@@ -326,6 +326,29 @@ def test_seal_open_roundtrip_and_tamper(capsys, tmp_path, keyring):
     assert "integrity" in err
 
 
+def test_open_rejects_other_package_versions(capsys, tmp_path, keyring):
+    pk, _, sk = keyring
+    source = tmp_path / "clip.bin"
+    source.write_bytes(b"clip bytes")
+    package = tmp_path / "clip.pkg"
+    code, _, _ = run(
+        capsys, "seal", "--pk", str(pk), "--attrs", "gold,family", "--nodes", "2022-08",
+        "--in", str(source), "--out", str(package), "--seed", "22",
+    )
+    assert code == 0
+    blob = package.read_bytes()
+    assert blob[:5] == b"TKPK\x01"
+    # Version 2, and a package from before the version byte existed.
+    for edited, version in ((blob[:4] + b"\x02" + blob[5:], 2), (blob[:4] + blob[5:], 0)):
+        package.write_bytes(edited)
+        code, out, err = run(
+            capsys, "open", "--pk", str(pk), "--sk", str(sk), "--in", str(package),
+            "--out", str(tmp_path / "out.bin"),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: unsupported package version {version}\n"
+
+
 def test_open_with_wrong_key_is_denied(capsys, tmp_path, keyring):
     pk, mk, _ = keyring
     weak = tmp_path / "weak.bin"
@@ -473,14 +496,23 @@ def test_sim_run_rejects_negative_content_size(capsys, tmp_path):
 
 
 def test_cli_import_leaves_networkx_out():
+    """Importing the CLI loads only the standard library and the package
+    itself, so a new runtime dependency shows here before it raises every
+    command's start-up time and memory.  Modules already loaded at start-up
+    (site packages included) do not count."""
     src = str(Path(tskpabe.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    probe = "import sys, tskpabe.cli; print('networkx' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import tskpabe.cli; "
+        "added = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(added - set(sys.stdlib_module_names) - {'tskpabe'}), "
+        "'networkx' in sys.modules)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[] False\n"
 
 
 def test_ledger_lifecycle(capsys, tmp_path):

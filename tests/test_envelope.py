@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import hmac
 from random import Random
 
 import pytest
@@ -26,6 +27,7 @@ from tskpabe.groups import TransparentSuite
 from tskpabe.lsss import compile_policy
 from tskpabe.scheme import Mode, TimedKpAbe
 from tskpabe.timetree import TimeCover, TimeNode, TimeWindow, set_cover
+from tskpabe.wire import WireError
 
 P = 2**31 - 1
 
@@ -255,14 +257,26 @@ def kat_plaintext(length):
 
 
 SEALED_SHA256 = {
-    0: "b71052c60795d1a629389f3cc98cd5ab26e03049e316f4e5eac08100fa752010",
-    1: "8dbcdc01cb93dc4edee1219dcc883d946e923f39e98c6f03647edf56d93537fb",
-    63: "5bd2195c8bf76ab1cd150a5ca7ce21271a794164f9ae7af92d617b32d7d88806",
-    64: "cbb833987e3e6c87bd49a7827cb4e5af675ba7caecd58786ce793be3440ab301",
-    65: "dcf0affb576017dc0e8a548267e3644422f5d940e6db672dd361851e941ecf69",
-    4096: "a2ed9ddb34a0cf3a4da385f2f29fd376ca645be0110f12bd61c26cd480a66112",
-    70000: "95c472fb1c4dee4cc365412a0e32beb315109fcb70040077ec60113e916a93a7",
+    0: "09b80a102ba0c9e0348e001b670cc030c239399627a4276fed3f0249689b842d",
+    1: "dacd0ae273192e88fcd21824fd6c9509341d14e2441b2ee32e332fabd0bfbf14",
+    63: "27d2940f26f3341e2673e6839d5791ffe5c9e87440370eaa06794e0a534c96b7",
+    64: "1a931cf3a6cf5be223c3d4b4901d79cd1bad825b8db5ad5dcd3c29bbc2ee2e27",
+    65: "dc653aa818856d61bb6fef02eb51900af1de58f8045bf2b1dc89657fdb68334f",
+    4096: "c3152eaba74b344b449f60b190a785f6374ea229b28b35e625e5b3f2d073a42b",
+    70000: "77ba6cf69aebdad13dd7c1859197c8accd38f2f3798ad3549d4e4b520237bbde",
 }
+
+
+@pytest.mark.parametrize("length", [0, 1, 64, 4096])
+def test_stream_dem_matches_spec(length):
+    """A sealed chunk rebuilt from FIPS 202 SHAKE128 and RFC 2104 HMAC alone:
+    body = plaintext XOR SHAKE128("dem-stream.v1" || key || nonce), then
+    tag = HMAC-SHA256(key, "dem-tag.v1" || nonce || body)."""
+    plaintext = kat_plaintext(length)
+    stream = hashlib.shake_128(b"dem-stream.v1" + KAT_KEY + KAT_NONCE).digest(length)
+    body = bytes(p ^ k for p, k in zip(plaintext, stream))
+    tag = hmac.new(KAT_KEY, b"dem-tag.v1" + KAT_NONCE + body, "sha256").digest()
+    assert StreamDem().seal(KAT_KEY, KAT_NONCE, plaintext) == body + tag
 
 
 @pytest.mark.parametrize("length", sorted(SEALED_SHA256))
@@ -283,14 +297,41 @@ def test_package_encoding_known_answer(world):
         chunk_size=4096,
     )
     data = package_to_bytes(package)
-    assert len(data) == 1071629
+    assert len(data) == 1071630
     assert (
         hashlib.sha256(data).hexdigest()
-        == "c839aeedd04c457ea912b5079fabec4c2fad70b33bb56767eecff6da968c3a15"
+        == "e0465fffcd7739b2ace8bf52ffa6ffdf70adf33877753ceec328e67c27836a01"
     )
     loaded = package_from_bytes(data)
     assert loaded == package
     assert open_package(scheme, pk, loaded, entitled) == content
+
+
+def test_package_version_byte(world):
+    scheme, pk, _, _ = world
+    package = seal(scheme, pk, "movie", b"clip", content_cover(), ["gold"], rng=Random(13))
+    data = package_to_bytes(package)
+    assert data[:5] == b"TKPK\x01"
+    for version in (0, 2, 255):
+        with pytest.raises(WireError, match=f"unsupported package version {version}"):
+            package_from_bytes(data[:4] + bytes([version]) + data[5:])
+    # A package from before the version byte: its name's length prefix
+    # begins with a zero byte where the version now sits.
+    with pytest.raises(WireError, match="unsupported package version 0"):
+        package_from_bytes(data[:4] + data[5:])
+    with pytest.raises(WireError, match="truncated"):
+        package_from_bytes(b"TKPK")
+
+
+def test_package_nonce_length_is_checked(world):
+    """Chunk nonces have one length, so no nonce/body split of a tagged
+    chunk can be replayed under a longer or shorter package nonce."""
+    scheme, pk, _, _ = world
+    package = seal(scheme, pk, "movie", b"clip", content_cover(), ["gold"], rng=Random(14))
+    for nonce in (package.nonce[:-1], package.nonce + b"\x00"):
+        data = package_to_bytes(dataclasses.replace(package, nonce=nonce))
+        with pytest.raises(WireError, match="package nonce must be 16 bytes"):
+            package_from_bytes(data)
 
 
 # ----------------------------------------------------------------------
