@@ -2,99 +2,3 @@
 machinery around it: transparent pairing oracle, time-tree covers, linear
 secret sharing, hybrid content envelopes, a named-data cache simulator,
 and a revocation ledger."""
-
-from .groups import (
-    DEFAULT_MODULUS,
-    OpCounters,
-    Scalar,
-    SourceElement,
-    SuiteMismatchError,
-    TargetElement,
-    TransparentSuite,
-    pair,
-    parse_suite,
-)
-from .lsss import (
-    AccessStructure,
-    PolicyError,
-    ShareSet,
-    compile_policy,
-    evaluate,
-    parse_policy,
-    policy_leaves,
-    reconstruct_coeffs,
-    share,
-)
-from .scheme import (
-    AuditReport,
-    AuditStep,
-    Ciphertext,
-    MasterKey,
-    Mode,
-    ModeMismatchError,
-    PrivateKey,
-    PublicParams,
-    TimedKpAbe,
-    component_counts,
-    predicted_counts,
-    predicted_pairings,
-)
-from .timetree import (
-    GREGORIAN,
-    IDEALIZED_31,
-    CalendarSystem,
-    FixedMonthCalendar,
-    GregorianCalendar,
-    TimeCover,
-    TimeNode,
-    TimeWindow,
-    is_prefix,
-    node_window,
-    set_cover,
-    worst_case_cover_size,
-)
-
-__all__ = [
-    "AccessStructure",
-    "AuditReport",
-    "AuditStep",
-    "CalendarSystem",
-    "Ciphertext",
-    "DEFAULT_MODULUS",
-    "FixedMonthCalendar",
-    "GREGORIAN",
-    "GregorianCalendar",
-    "IDEALIZED_31",
-    "MasterKey",
-    "Mode",
-    "ModeMismatchError",
-    "OpCounters",
-    "PolicyError",
-    "PrivateKey",
-    "PublicParams",
-    "Scalar",
-    "ShareSet",
-    "SourceElement",
-    "SuiteMismatchError",
-    "TargetElement",
-    "TimeCover",
-    "TimeNode",
-    "TimeWindow",
-    "TimedKpAbe",
-    "TransparentSuite",
-    "compile_policy",
-    "component_counts",
-    "evaluate",
-    "is_prefix",
-    "node_window",
-    "pair",
-    "parse_policy",
-    "parse_suite",
-    "policy_leaves",
-    "predicted_counts",
-    "predicted_pairings",
-    "reconstruct_coeffs",
-    "set_cover",
-    "share",
-    "worst_case_cover_size",
-]

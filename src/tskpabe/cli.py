@@ -6,27 +6,11 @@ failure, 4 verification failure.  Every subcommand is deterministic given
 """
 
 import argparse
-import hashlib
+import importlib
 import json
 import os
 import sys
 from random import Random
-
-from . import envelope, ndnsim, scheme as scheme_mod, subscription
-from .envelope import AccessDeniedError, IntegrityError, UnknownIssuerError
-from .groups import DEFAULT_MODULUS, parse_suite
-from .lsss import compile_policy
-from .ndnsim import Simulation, metrics_from_events, parse_scenario
-from .scheme import (
-    Mode,
-    TimedKpAbe,
-    UnknownAttributeError,
-    bench_instance,
-    component_counts,
-)
-from .subscription import RevocationLedger, derive_pseudo_id
-from .timetree import GREGORIAN, IDEALIZED_31, TimeCover, TimeNode, TimeWindow, parse_day, set_cover
-from .wire import WireError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,25 +42,28 @@ def _write(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def _calendar(name: str):
-    if name == "gregorian":
-        return GREGORIAN
-    if name == "idealized31":
-        return IDEALIZED_31
-    raise UsageError(f"unknown calendar {name!r}")
+def _cover_from_args(args):
+    from .timetree import GREGORIAN, TimeCover, TimeNode, TimeWindow, set_cover
 
-
-def _cover_from_args(args, calendar=GREGORIAN) -> TimeCover:
     if getattr(args, "window", None):
-        return set_cover(TimeWindow.parse(args.window, calendar), calendar)
+        return set_cover(TimeWindow.parse(args.window, GREGORIAN), GREGORIAN)
     if getattr(args, "nodes", None):
-        nodes = [TimeNode.parse(t, calendar) for t in args.nodes.split(",") if t]
-        return TimeCover.from_nodes(nodes, calendar)
+        nodes = [TimeNode.parse(t, GREGORIAN) for t in args.nodes.split(",") if t]
+        return TimeCover.from_nodes(nodes, GREGORIAN)
     raise UsageError("need --window or --nodes")
 
 
-def _scheme_for(pk) -> TimedKpAbe:
+def _scheme_for(pk):
+    from .scheme import TimedKpAbe
+
     return TimedKpAbe(pk.suite, pk.mode)
+
+
+def _error_class(module: str, name: str) -> type:
+    """Error class ``name`` of program module ``module``.  Python evaluates an
+    ``except`` clause's class only while matching a raised exception, so a
+    command that succeeds never imports a module for its error classes."""
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _add_seed(parser):
@@ -84,18 +71,23 @@ def _add_seed(parser):
 
 
 # ----------------------------------------------------------------------
-# Subcommand handlers.
+# Subcommand handlers.  Each imports the program modules it uses, so a
+# short command does not pay for loading the rest.
 # ----------------------------------------------------------------------
 
 
 def _cmd_setup(args) -> int:
+    from .groups import parse_suite
+    from .scheme import DEFAULT_DEPTH, Mode, TimedKpAbe, component_counts, mk_to_bytes, pk_to_bytes
+
     suite = parse_suite(args.suite)
     mode = Mode(args.mode)
     universe = args.attrs.split(",") if args.attrs else int(args.universe_size)
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
     scheme = TimedKpAbe(suite, mode)
-    pk, mk = scheme.setup(universe, depth=args.depth, rng=Random(args.seed))
-    _write(args.out_pk, scheme_mod.pk_to_bytes(pk))
-    _write(args.out_mk, scheme_mod.mk_to_bytes(mk, suite, mode))
+    pk, mk = scheme.setup(universe, depth=depth, rng=Random(args.seed))
+    _write(args.out_pk, pk_to_bytes(pk))
+    _write(args.out_mk, mk_to_bytes(mk, suite, mode))
     source, target = component_counts(pk)
     print(f"suite=transparent:{suite.p} mode={mode.value}")
     print(f"universe={','.join(pk.universe)} depth={pk.depth}")
@@ -106,8 +98,11 @@ def _cmd_setup(args) -> int:
 
 
 def _cmd_keygen(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
-    mk, mk_mode, mk_suite = scheme_mod.mk_from_bytes(_read(args.mk))
+    from .lsss import compile_policy
+    from .scheme import component_counts, mk_from_bytes, pk_from_bytes, sk_to_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
+    mk, mk_mode, mk_suite = mk_from_bytes(_read(args.mk))
     if mk_mode is not pk.mode or mk_suite != pk.suite:
         raise UsageError("master key does not match the public parameters")
     scheme = _scheme_for(pk)
@@ -116,6 +111,8 @@ def _cmd_keygen(args) -> int:
         pid = pk.suite.scalar(args.id)
         pid_display = f"pid:{pid.value:x}"
     elif args.user:
+        from .subscription import derive_pseudo_id
+
         start = cover.window().start
         nonce = bytes.fromhex(args.nonce) if args.nonce else b""
         identity = derive_pseudo_id(pk.suite, args.user, start, nonce)
@@ -124,7 +121,7 @@ def _cmd_keygen(args) -> int:
         raise UsageError("need --id or --user")
     access = compile_policy(args.policy, pk.suite.p)
     sk = scheme.keygen(pk, mk, pid, cover, access, rng=Random(args.seed))
-    _write(args.out, scheme_mod.sk_to_bytes(sk))
+    _write(args.out, sk_to_bytes(sk))
     source, target = component_counts(sk)
     print(f"pid={pid_display} rows={access.rows}")
     print(f"cover={','.join(cover.texts())}")
@@ -134,14 +131,16 @@ def _cmd_keygen(args) -> int:
 
 
 def _cmd_encrypt(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
+    from .scheme import component_counts, ct_to_bytes, pk_from_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
     scheme = _scheme_for(pk)
     cover = _cover_from_args(args)
     attrs = [a for a in args.attrs.split(",") if a]
     rng = Random(args.seed)
     message = pk.suite.random_target(rng)
     ct = scheme.encrypt(pk, message, cover, attrs, rng=rng)
-    _write(args.out, scheme_mod.ct_to_bytes(ct))
+    _write(args.out, ct_to_bytes(ct))
     source, target = component_counts(ct)
     print(f"message={pk.suite.encode_element(message).hex()}")
     print(f"cover={','.join(cover.texts())} attrs={','.join(ct.attributes)}")
@@ -151,9 +150,11 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
-    sk = scheme_mod.sk_from_bytes(_read(args.sk))
-    ct = scheme_mod.ct_from_bytes(_read(args.ct))
+    from .scheme import ct_from_bytes, pk_from_bytes, sk_from_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
+    sk = sk_from_bytes(_read(args.sk))
+    ct = ct_from_bytes(_read(args.ct))
     scheme = _scheme_for(pk)
     before = pk.suite.counters.snapshot()
     message = scheme.decrypt(pk, ct, sk)
@@ -167,7 +168,9 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    calendar = _calendar(args.calendar)
+    from .timetree import GREGORIAN, IDEALIZED_31, TimeWindow, set_cover
+
+    calendar = {"gregorian": GREGORIAN, "idealized31": IDEALIZED_31}[args.calendar]
     cover = set_cover(TimeWindow.parse(args.window, calendar), calendar)
     if args.json:
         print(json.dumps({"window": args.window, "nodes": cover.texts()}, sort_keys=True))
@@ -178,9 +181,11 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
-    sk = scheme_mod.sk_from_bytes(_read(args.sk))
-    ct = scheme_mod.ct_from_bytes(_read(args.ct))
+    from .scheme import ct_from_bytes, pk_from_bytes, sk_from_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
+    sk = sk_from_bytes(_read(args.sk))
+    ct = ct_from_bytes(_read(args.ct))
     scheme = _scheme_for(pk)
     report = scheme.audit(pk, ct, sk)
     if args.json:
@@ -215,9 +220,13 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .groups import parse_suite
+    from .scheme import DEFAULT_DEPTH, Mode, bench_instance
+
     suite = parse_suite(args.suite)
     mode = Mode(args.mode)
-    result = bench_instance(suite, mode, args.U, args.depth, args.l, args.tk, args.tc, args.seed)
+    depth = DEFAULT_DEPTH if args.depth is None else args.depth
+    result = bench_instance(suite, mode, args.U, depth, args.l, args.tk, args.tc, args.seed)
     rows = {}
     all_match = True
     for kind in ("pk", "sk", "ct"):
@@ -240,7 +249,7 @@ def _cmd_bench(args) -> int:
                 {
                     "params": {
                         "U": args.U,
-                        "depth": args.depth,
+                        "depth": depth,
                         "l": args.l,
                         "tk": args.tk,
                         "tc": args.tc,
@@ -260,7 +269,7 @@ def _cmd_bench(args) -> int:
         )
         return EXIT_OK
     print(
-        f"bench U={args.U} depth={args.depth} l={args.l} tk={args.tk} tc={args.tc} "
+        f"bench U={args.U} depth={depth} l={args.l} tk={args.tk} tc={args.tc} "
         f"suite=transparent:{suite.p} mode={mode.value}"
     )
     for kind in ("pk", "sk", "ct"):
@@ -279,7 +288,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_seal(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
+    from . import envelope
+    from .scheme import pk_from_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
     scheme = _scheme_for(pk)
     cover = _cover_from_args(args)
     attrs = [a for a in args.attrs.split(",") if a]
@@ -293,7 +305,7 @@ def _cmd_seal(args) -> int:
         cover,
         attrs,
         rng=Random(args.seed),
-        chunk_size=args.chunk_size,
+        chunk_size=envelope.DEFAULT_CHUNK_SIZE if args.chunk_size is None else args.chunk_size,
     )
     _write(args.out, envelope.package_to_bytes(package))
     print(
@@ -305,8 +317,11 @@ def _cmd_seal(args) -> int:
 
 
 def _cmd_open(args) -> int:
-    pk = scheme_mod.pk_from_bytes(_read(args.pk))
-    sk = scheme_mod.sk_from_bytes(_read(args.sk))
+    from . import envelope
+    from .scheme import pk_from_bytes, sk_from_bytes
+
+    pk = pk_from_bytes(_read(args.pk))
+    sk = sk_from_bytes(_read(args.sk))
     package = envelope.package_from_bytes(_read(args.infile))
     scheme = _scheme_for(pk)
     content = envelope.open_package(scheme, pk, package, sk)
@@ -317,6 +332,10 @@ def _cmd_open(args) -> int:
 
 
 def _cmd_dir_build(args) -> int:
+    import hashlib
+
+    from . import envelope
+
     entries = []
     for path in args.files:
         data = _read(path)
@@ -338,6 +357,8 @@ def _cmd_dir_build(args) -> int:
 
 
 def _cmd_dir_verify(args) -> int:
+    from . import envelope
+
     directory = envelope.directory_from_bytes(_read(args.directory))
     trusted = {}
     for spec in args.trusted:
@@ -357,6 +378,8 @@ def _cmd_dir_verify(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
+    from .ndnsim import Simulation, parse_scenario
+
     with open(args.config, encoding="utf-8") as fh:
         config = parse_scenario(fh.read())
     result = Simulation(config).run()
@@ -385,6 +408,8 @@ def _cmd_sim_run(args) -> int:
 
 
 def _cmd_sim_replay(args) -> int:
+    from .ndnsim import metrics_from_events
+
     with open(args.events, encoding="utf-8") as fh:
         events = [line.rstrip("\n") for line in fh if line.strip()]
     metrics = metrics_from_events(events)
@@ -393,7 +418,9 @@ def _cmd_sim_replay(args) -> int:
     return EXIT_OK
 
 
-def _load_ledger(path: str) -> RevocationLedger:
+def _load_ledger(path: str):
+    from .subscription import RevocationLedger
+
     ledger = RevocationLedger.load(path) if os.path.exists(path) else RevocationLedger()
     if not ledger.verify():
         raise LedgerChainError(f"ledger {path}: digest chain does not verify")
@@ -401,6 +428,8 @@ def _load_ledger(path: str) -> RevocationLedger:
 
 
 def _cmd_revoke(args) -> int:
+    from .timetree import parse_day
+
     ledger = _load_ledger(args.ledger)
     duplicate = ledger.lookup(args.pid) is not None
     entry = ledger.revoke(args.pid, parse_day(args.expiry), parse_day(args.now))
@@ -414,14 +443,19 @@ def _cmd_revoke(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .subscription import InfotainmentAgent
+    from .timetree import parse_day
+
     ledger = _load_ledger(args.ledger)
-    agent = subscription.InfotainmentAgent(ledger)
+    agent = InfotainmentAgent(ledger)
     status = agent.daily_check(args.pid, parse_day(args.now))
     print(f"pid={args.pid} status={status}")
-    return EXIT_OK if status == subscription.InfotainmentAgent.ACTIVE else EXIT_DENIED
+    return EXIT_OK if status == InfotainmentAgent.ACTIVE else EXIT_DENIED
 
 
 def _cmd_prune(args) -> int:
+    from .timetree import parse_day
+
     ledger = _load_ledger(args.ledger)
     removed = ledger.prune(parse_day(args.now))
     ledger.save(args.ledger)
@@ -430,6 +464,8 @@ def _cmd_prune(args) -> int:
 
 
 def _cmd_ledger_verify(args) -> int:
+    from .subscription import RevocationLedger
+
     ledger = RevocationLedger.load(args.ledger)
     ok = ledger.verify()
     print(f"blocks={len(ledger.blocks)} entries={len(ledger.entries())} ok={int(ok)}")
@@ -445,16 +481,17 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="tskpabe", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def suite_mode(p, mode=True):
-        p.add_argument("--suite", default=f"transparent:{DEFAULT_MODULUS}")
-        if mode:
-            p.add_argument("--mode", choices=[m.value for m in Mode], default=Mode.REPAIRED.value)
+    def suite_mode(p):
+        # "transparent" names the default modulus; the mode literals are
+        # scheme.Mode's values, which a test keeps in step.
+        p.add_argument("--suite", default="transparent")
+        p.add_argument("--mode", choices=["paper", "repaired"], default="repaired")
 
     p = sub.add_parser("setup", help="generate public parameters and a master key")
     suite_mode(p)
     p.add_argument("--attrs", help="comma-separated attribute universe")
     p.add_argument("--universe-size", type=int, default=3)
-    p.add_argument("--depth", type=int, default=scheme_mod.DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int)
     p.add_argument("--out-pk", required=True)
     p.add_argument("--out-mk", required=True)
     _add_seed(p)
@@ -504,7 +541,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="measured vs predicted sizes and pairing counts")
     suite_mode(p)
     p.add_argument("--U", type=int, required=True, help="attribute universe size")
-    p.add_argument("--depth", type=int, default=scheme_mod.DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int)
     p.add_argument("--l", type=int, required=True, help="policy matrix rows")
     p.add_argument("--tk", type=int, required=True, help="key cover size")
     p.add_argument("--tc", type=int, required=True, help="ciphertext cover size")
@@ -520,7 +557,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name")
-    p.add_argument("--chunk-size", type=int, default=envelope.DEFAULT_CHUNK_SIZE)
+    p.add_argument("--chunk-size", type=int)
     _add_seed(p)
     p.set_defaults(func=_cmd_seal)
 
@@ -535,7 +572,7 @@ def build_parser() -> _Parser:
     p.add_argument("--issuer", required=True)
     p.add_argument("--secret", required=True, help="hex signing secret")
     p.add_argument("--out", required=True)
-    p.add_argument("--category", default=ndnsim.DataCategory.PUBLIC_INFOTAINMENT.value)
+    p.add_argument("--category", default="public-infotainment")
     p.add_argument("--description", default="")
     p.add_argument("--timestamp", type=int, default=0)
     p.add_argument("files", nargs="+")
@@ -591,23 +628,26 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except UnknownAttributeError as exc:
-        print(f"usage error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except AccessDeniedError as exc:
-        print(f"access denied: {exc}", file=sys.stderr)
-        return EXIT_DENIED
-    except IntegrityError as exc:
-        print(f"integrity failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except (UnknownIssuerError, LedgerChainError) as exc:
+    except LedgerChainError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
     except SystemExit as exc:
         return EXIT_OK if exc.code in (None, 0) else EXIT_USAGE
-    except (ValueError, WireError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # wire.WireError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _error_class("scheme", "UnknownAttributeError") as exc:
+        print(f"usage error: {exc.args[0]}", file=sys.stderr)
+        return EXIT_USAGE
+    except _error_class("envelope", "AccessDeniedError") as exc:
+        print(f"access denied: {exc}", file=sys.stderr)
+        return EXIT_DENIED
+    except _error_class("envelope", "IntegrityError") as exc:
+        print(f"integrity failure: {exc}", file=sys.stderr)
+        return EXIT_INTEGRITY
+    except _error_class("envelope", "UnknownIssuerError") as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

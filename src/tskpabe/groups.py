@@ -63,12 +63,6 @@ class OpCounters:
     target_exponentiations: int = 0
     multiplications: int = 0
 
-    def reset(self) -> None:
-        self.pairings = 0
-        self.source_exponentiations = 0
-        self.target_exponentiations = 0
-        self.multiplications = 0
-
     def snapshot(self) -> "OpCounters":
         return OpCounters(
             self.pairings,
@@ -293,9 +287,6 @@ class TransparentSuite:
 
     def generator(self) -> SourceElement:
         return SourceElement(self, 1)
-
-    def identity_source(self) -> SourceElement:
-        return SourceElement(self, 0)
 
     def identity_target(self) -> TargetElement:
         return TargetElement(self, 0)

@@ -12,14 +12,13 @@ is compacted and re-linked behind a pruning record that retains the prior
 head digest, so full-chain verification keeps passing.
 """
 
+from __future__ import annotations
+
 import hashlib
 import json
 from dataclasses import dataclass, field
-from random import Random
+from typing import TYPE_CHECKING
 
-from . import lsss
-from .groups import Scalar, TransparentSuite
-from .scheme import MasterKey, PrivateKey, PublicParams, TimedKpAbe
 from .timetree import (
     GREGORIAN,
     CalendarSystem,
@@ -30,6 +29,12 @@ from .timetree import (
     set_cover,
 )
 from .wire import pack_bytes, pack_str
+
+if TYPE_CHECKING:  # the ledger commands load neither the scheme nor its groups
+    from random import Random
+
+    from .groups import Scalar, TransparentSuite
+    from .scheme import MasterKey, PrivateKey, PublicParams, TimedKpAbe
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,8 @@ class SubscriptionService:
                 f"window {window} lies entirely before the provider clock "
                 f"{format_day(self.clock)}"
             )
+        from . import lsss
+
         pid = derive_pseudo_id(self.scheme.suite, user, window.start, nonce)
         access = lsss.compile_policy(policy, self.scheme.suite.p)
         cover = set_cover(window, self.calendar)

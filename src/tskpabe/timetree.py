@@ -10,7 +10,6 @@ Month lengths come from a pluggable calendar so tests can swap the real
 Gregorian table for an idealized 12 x 31 one.
 """
 
-import calendar as _stdcal
 import datetime as _dt
 import re
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ class GregorianCalendar(CalendarSystem):
     name = "gregorian"
 
     def days_in_month(self, year: int, month: int) -> int:
-        if month == 2 and _stdcal.isleap(year):
+        if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
             return 29
         return _MDAYS[month]
 
@@ -155,12 +154,6 @@ class TimeWindow:
         cal.validate_day(self.end)
         if cal.to_ordinal(self.start) > cal.to_ordinal(self.end):
             raise ValueError(f"window start {self.start} after end {self.end}")
-
-    def contains(self, other: "TimeWindow", cal: CalendarSystem = GREGORIAN) -> bool:
-        return (
-            cal.to_ordinal(self.start) <= cal.to_ordinal(other.start)
-            and cal.to_ordinal(other.end) <= cal.to_ordinal(self.end)
-        )
 
     def text(self) -> str:
         return f"{format_day(self.start)}..{format_day(self.end)}"

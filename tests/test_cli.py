@@ -7,7 +7,11 @@ from pathlib import Path
 import pytest
 
 import tskpabe
-from tskpabe.cli import main
+from tskpabe.cli import build_parser, main
+from tskpabe.envelope import DEFAULT_CHUNK_SIZE
+from tskpabe.groups import DEFAULT_MODULUS, parse_suite
+from tskpabe.ndnsim import DataCategory
+from tskpabe.scheme import DEFAULT_DEPTH, Mode
 
 SUITE = "transparent:2147483647"
 
@@ -710,3 +714,152 @@ def test_malformed_ledger_line_is_usage_error(capsys, tmp_path):
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ledger line 2: ") and err.count("\n") == 1
+
+
+def test_parser_defaults_match_program_constants(capsys, tmp_path, keyring):
+    """The parser names no program module, so its literal defaults are tied
+    here to the constants they stand for."""
+    parser = build_parser()
+
+    def option(command, dest):
+        sub = parser._subparsers._group_actions[0].choices[command]
+        return next(a for a in sub._actions if a.dest == dest)
+
+    for command in ("setup", "bench"):
+        mode = option(command, "mode")
+        assert mode.choices == [m.value for m in Mode] and mode.default == Mode.REPAIRED.value
+        assert parse_suite(option(command, "suite").default).p == DEFAULT_MODULUS
+    assert option("dir-build", "category").default == DataCategory.PUBLIC_INFOTAINMENT.value
+
+    pk = tmp_path / "pk-default.bin"
+    code, out, _ = run(capsys, "setup", "--out-pk", str(pk), "--out-mk", str(tmp_path / "mk"))
+    assert code == 0 and f"depth={DEFAULT_DEPTH}\n" in out
+    code, out, _ = run(capsys, "bench", "--U", "3", "--l", "2", "--tk", "1", "--tc", "1")
+    assert code == 0 and f" depth={DEFAULT_DEPTH} " in out
+    source = tmp_path / "clip.bin"
+    source.write_bytes(b"clip")
+    code, out, _ = run(
+        capsys, "seal", "--pk", str(keyring[0]), "--attrs", "gold", "--nodes", "2022-08",
+        "--in", str(source), "--out", str(tmp_path / "clip.pkg"),
+    )
+    assert code == 0 and f"chunk_size={DEFAULT_CHUNK_SIZE}\n" in out
+
+
+def _fresh_env():
+    src = str(Path(tskpabe.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.fixture
+def workspace(capsys, tmp_path, keyring):
+    """Every file kind the commands below read, written in-process: keys,
+    a ciphertext, a package sealed for gold AND family, a key the policy
+    denies, and a ledger with one revoked pid."""
+    pk, mk, sk = keyring
+    files = {"pk": pk, "mk": mk, "sk": sk}
+    for name in ("ct", "weak", "content", "pkg", "dir", "ledger"):
+        files[name] = tmp_path / name
+    files["content"].write_bytes(bytes(range(256)) * 20)
+    commands = [
+        ("encrypt", "--pk", pk, "--attrs", "gold,family", "--nodes", "2022-08",
+         "--out", files["ct"]),
+        ("keygen", "--pk", pk, "--mk", mk, "--policy", "platinum", "--nodes", "2022-08",
+         "--id", "777", "--out", files["weak"]),
+        ("seal", "--pk", pk, "--attrs", "gold,family", "--nodes", "2022-08",
+         "--in", files["content"], "--out", files["pkg"], "--chunk-size", "1024"),
+        ("dir-build", "--issuer", "rsu1", "--secret", "ab" * 16, "--out", files["dir"],
+         files["content"]),
+        ("revoke", "--ledger", files["ledger"], "--pid", "pid:c3", "--expiry", "2022-09-30",
+         "--now", "2022-07-05"),
+    ]
+    for argv in commands:
+        assert main([str(a) for a in argv]) == 0
+    capsys.readouterr()
+    return {k: str(v) for k, v in files.items()}
+
+
+_PROGRAM = {"groups", "lsss", "scheme", "timetree", "wire", "envelope", "ndnsim", "subscription"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "loaded"),
+    [
+        (["cover", "2022-07-01..2022-09-02"], 0, {"timetree"}),
+        (["revoke", "--ledger", "{ledger}", "--pid", "pid:e5", "--expiry", "2022-12-31",
+          "--now", "2022-07-06"], 0, {"subscription", "timetree", "wire"}),
+        (["check", "--ledger", "{ledger}", "--pid", "pid:c3", "--now", "2022-07-06"], 2,
+         {"subscription", "timetree", "wire"}),
+        (["prune", "--ledger", "{ledger}", "--now", "2022-10-01"], 0,
+         {"subscription", "timetree", "wire"}),
+        (["decrypt", "--pk", "{pk}", "--sk", "{sk}", "--ct", "{ct}"], 0,
+         {"groups", "lsss", "scheme", "timetree", "wire"}),
+        (["seal", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--in", "{content}",
+          "--out", "{pkg}"], 0, _PROGRAM - {"ndnsim", "subscription"}),
+        (["open", "--pk", "{pk}", "--sk", "{sk}", "--in", "{pkg}", "--out", "{content}"], 0,
+         _PROGRAM - {"ndnsim", "subscription"}),
+    ],
+    ids=["cover", "revoke", "check", "prune", "decrypt", "seal", "open"],
+)
+def test_each_command_loads_only_its_modules(tmp_path, workspace, argv, code, loaded):
+    """A command run in a fresh interpreter imports only the program modules
+    it uses, so start-up stays cheap for the short commands a vehicle runs."""
+    report = tmp_path / "modules.json"
+    probe = (
+        "import json, sys; from tskpabe.cli import main; code = main(sys.argv[2:]); "
+        "names = [m for m in sys.modules if m.startswith('tskpabe.')]; "
+        "json.dump([code, sorted(names)], open(sys.argv[1], 'w'))"
+    )
+    args = [a.format(**workspace) for a in argv]
+    subprocess.run(
+        [sys.executable, "-c", probe, str(report), *args],
+        env=_fresh_env(), capture_output=True, check=True, timeout=60,
+    )
+    got_code, names = json.loads(report.read_text())
+    assert got_code == code
+    assert set(names) == {"tskpabe.cli"} | {f"tskpabe.{m}" for m in loaded}
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "stderr"),
+    [
+        (["encrypt", "--pk", "{pk}", "--attrs", "gold,bogus", "--nodes", "2022-08",
+          "--out", "{ct}"], 1, "usage error: attribute 'bogus' not in the universe"),
+        (["decrypt", "--pk", "{short_pk}", "--sk", "{sk}", "--ct", "{ct}"], 1, "error: "),
+        (["open", "--pk", "{pk}", "--sk", "{weak}", "--in", "{pkg}", "--out", "{content}"], 2,
+         "access denied: "),
+        (["open", "--pk", "{pk}", "--sk", "{sk}", "--in", "{flipped_pkg}", "--out",
+          "{content}"], 3, "integrity failure: "),
+        (["dir-verify", "--dir", "{dir}", "--trusted", "other=" + "ab" * 16], 4,
+         "verification failure: "),
+        (["dir-verify", "--dir", "{dir}", "--trusted", "rsu1=" + "cd" * 16], 4, None),
+        (["check", "--ledger", "{edited_ledger}", "--pid", "pid:c3", "--now", "2022-07-06"], 4,
+         "verification failure: ledger "),
+    ],
+    ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
+         "wrong-secret", "edited-ledger"],
+)
+def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
+    """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
+    imported beforehand: the error classes load only on the error path, so
+    this is where a fault in that path shows.  A wrong directory secret
+    reports ok=0 on stdout and prints nothing to stderr."""
+    short_pk = tmp_path / "short-pk.bin"
+    short_pk.write_bytes(Path(workspace["pk"]).read_bytes()[:40])
+    flipped = bytearray(Path(workspace["pkg"]).read_bytes())
+    flipped[-10] ^= 0x40  # inside the last chunk
+    (tmp_path / "flipped.pkg").write_bytes(bytes(flipped))
+    ledger = Path(workspace["ledger"]).read_text().replace('"pid:c3"', '"pid:c4"')
+    (tmp_path / "edited.jsonl").write_text(ledger)
+    paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
+                 edited_ledger=tmp_path / "edited.jsonl")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tskpabe.cli", *(a.format(**paths) for a in argv)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if stderr is None:
+        assert proc.stderr == "" and "ok=0" in proc.stdout
+    else:
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(stderr), proc.stderr

@@ -27,7 +27,7 @@ def test_pair_multiplies_exponents(suite):
 
 
 def test_pair_with_identity_is_identity(suite):
-    assert suite.pair(suite.generator(), suite.identity_source()).is_identity()
+    assert suite.pair(suite.generator(), suite.source_from_log(0)).is_identity()
 
 
 def test_pair_symmetry(suite):
@@ -63,7 +63,7 @@ def test_source_group_laws(x, y, z):
     suite = TransparentSuite(P)
     a, b, c = (suite.source_from_log(v) for v in (x, y, z))
     assert (a * b) * c == a * (b * c)
-    assert a * suite.identity_source() == a
+    assert a * suite.source_from_log(0) == a
     assert (a * a.inverse()).is_identity()
 
 
@@ -112,7 +112,7 @@ def test_hash_to_scalar_never_zero(suite):
 
 def test_counters_track_operations(suite):
     g = suite.generator()
-    suite.counters.reset()
+    suite.counters = OpCounters()
     _ = g * g
     _ = g**5
     _ = suite.pair(g, g)

@@ -1,3 +1,4 @@
+import calendar
 from random import Random
 
 import pytest
@@ -112,7 +113,12 @@ _nodes = st.one_of(
 
 @given(_nodes, _nodes)
 def test_prefix_matches_window_containment(a, b):
-    contained = node_window(a).contains(node_window(b)) and a.depth <= b.depth
+    wa, wb = node_window(a), node_window(b)
+    contained = (
+        GREGORIAN.to_ordinal(wa.start) <= GREGORIAN.to_ordinal(wb.start)
+        and GREGORIAN.to_ordinal(wb.end) <= GREGORIAN.to_ordinal(wa.end)
+        and a.depth <= b.depth
+    )
     assert is_prefix(a, b) == contained
 
 
@@ -174,6 +180,11 @@ def test_fixed_month_calendar_lengths():
     assert cal.days_in_month(2022, 2) == 30
     assert GREGORIAN.days_in_month(2022, 2) == 28
     assert GREGORIAN.days_in_month(2024, 2) == 29
+
+
+def test_gregorian_leap_years_match_stdlib():
+    for year in range(1, 10_000):
+        assert GREGORIAN.days_in_month(year, 2) == (29 if calendar.isleap(year) else 28), year
 
 
 def test_cover_window_reports_full_span():
