@@ -7,7 +7,6 @@ failure, 4 verification failure.  Every subcommand is deterministic given
 
 import argparse
 import importlib
-import json
 import os
 import sys
 from random import Random
@@ -168,6 +167,8 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_cover(args) -> int:
+    import json
+
     from .timetree import GREGORIAN, IDEALIZED_31, TimeWindow, set_cover
 
     calendar = {"gregorian": GREGORIAN, "idealized31": IDEALIZED_31}[args.calendar]
@@ -181,6 +182,8 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    import json
+
     from .scheme import ct_from_bytes, pk_from_bytes, sk_from_bytes
 
     pk = pk_from_bytes(_read(args.pk))
@@ -220,6 +223,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import json
+
     from .groups import parse_suite
     from .scheme import DEFAULT_DEPTH, Mode, bench_instance
 
@@ -378,6 +383,8 @@ def _cmd_dir_verify(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
+    import json
+
     from .ndnsim import Simulation, parse_scenario
 
     with open(args.config, encoding="utf-8") as fh:

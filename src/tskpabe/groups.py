@@ -15,7 +15,6 @@ The suite carries operation counters so callers can account for the exact
 number of pairings and exponentiations a computation performed.
 """
 
-import hashlib
 from dataclasses import dataclass
 from random import Random
 
@@ -248,6 +247,8 @@ class TransparentSuite:
     def hash_to_scalar(self, data: bytes) -> Scalar:
         """Deterministic hash into [1, p).  Zero is resampled away because
         derived identities end up as exponent divisors."""
+        import hashlib
+
         counter = 0
         while True:
             digest = hashlib.sha256(

@@ -8,10 +8,17 @@ Leaves become matrix rows in left-to-right order, so the matrix has one
 row per leaf and one column per AND gate plus one.
 
 Sharing a secret w draws a masking vector (w, y2, ..., yn) and gives row i
-the share lambda_i = v . M_i.  A set of attributes reconstructs w iff the
-unit vector (1, 0, ..., 0) lies in the span of its rows, in which case
-Gaussian elimination yields coefficients omega_i with
-sum(omega_i * lambda_i) = w.
+the share lambda_i = v . M_i.  To reconstruct, pick a satisfying subtree
+(both children of an AND gate, one satisfied child of an OR gate).  Under
+this labeling its rows sum to the root label (1, 0, ..., 0), as Lewko and
+Waters observe ("Decentralizing Attribute-Based Encryption", Eurocrypt
+2011, appendix G), so omega_i = 1 on those rows and 0 elsewhere gives
+sum(omega_i * lambda_i) = w.  A set that fails the formula has no such
+subtree, and no coefficients exist.
+
+Key files carry policy text, so parsing and compiling refuse formulas
+deeper than MAX_DEPTH or with more than MAX_LEAVES leaves, which keeps
+every recursive walk well inside Python's recursion limit.
 """
 
 import re
@@ -21,6 +28,9 @@ from random import Random
 from .groups import Scalar
 
 _TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|([A-Za-z_][A-Za-z0-9_\-]*))")
+
+MAX_DEPTH = 64  # gates above any leaf, and parentheses open at once
+MAX_LEAVES = 256
 
 
 class PolicyError(ValueError):
@@ -63,6 +73,7 @@ def parse_policy(text: str) -> "Leaf | Gate":
     if not tokens:
         raise PolicyError("empty policy")
     pos = 0
+    depth = 0
 
     def peek():
         return tokens[pos] if pos < len(tokens) else None
@@ -88,11 +99,16 @@ def parse_policy(text: str) -> "Leaf | Gate":
         return node
 
     def parse_atom():
+        nonlocal depth
         token = take()
         if token == "(":
+            depth += 1
+            if depth > MAX_DEPTH:
+                raise PolicyError(f"policy nests deeper than {MAX_DEPTH} levels")
             node = parse_or()
             if take() != ")":
                 raise PolicyError("unbalanced parentheses")
+            depth -= 1
             return node
         if token in (None, ")", "AND", "OR"):
             raise PolicyError(f"unexpected token {token!r}")
@@ -118,28 +134,23 @@ def evaluate(node: "Leaf | Gate", attributes) -> bool:
     return walk(node)
 
 
-def policy_leaves(node: "Leaf | Gate") -> list[str]:
-    """Leaf attributes in row order (duplicates preserved)."""
-    out: list[str] = []
-
-    def walk(n):
-        if isinstance(n, Leaf):
-            out.append(n.attribute)
-        else:
-            walk(n.left)
-            walk(n.right)
-
-    walk(node)
-    return out
+def policy_text(node: "Leaf | Gate") -> str:
+    """Canonical, fully parenthesised text that ``parse_policy`` reads back
+    as the same tree."""
+    if isinstance(node, Leaf):
+        return node.attribute
+    return f"({policy_text(node.left)} {node.op} {policy_text(node.right)})"
 
 
 @dataclass(frozen=True)
 class AccessStructure:
-    """Share-generating matrix with its row-to-attribute map, entries mod p."""
+    """Share-generating matrix with its row-to-attribute map, entries mod p,
+    and the formula it was compiled from (row i is its i-th leaf)."""
 
     matrix: tuple[tuple[int, ...], ...]
     row_attributes: tuple[str, ...]
     modulus: int
+    policy: "Leaf | Gate"
 
     @property
     def rows(self) -> int:
@@ -167,33 +178,41 @@ class ShareSet:
 
 
 def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure:
-    """Compile a monotone formula into an access structure over Z_p."""
-    node = parse_policy(policy) if isinstance(policy, str) else policy
+    """Compile a monotone formula into an access structure over Z_p.
+
+    A tree goes through its canonical text, so every structure's formula
+    is one that ``policy_text`` writes and ``parse_policy`` reads back.
+    """
+    node = parse_policy(policy if isinstance(policy, str) else policy_text(policy))
     rows: list[tuple[list[int], str]] = []
     width = 1
 
-    def assign(n, label: list[int]):
+    def assign(n, label: list[int], depth: int):
         nonlocal width
+        if depth > MAX_DEPTH:
+            raise PolicyError(f"policy nests deeper than {MAX_DEPTH} levels")
         if isinstance(n, Leaf):
+            if len(rows) == MAX_LEAVES:
+                raise PolicyError(f"policy has more than {MAX_LEAVES} leaves")
             rows.append((label, n.attribute))
             return
         if n.op == "OR":
-            assign(n.left, list(label))
-            assign(n.right, list(label))
+            assign(n.left, list(label), depth + 1)
+            assign(n.right, list(label), depth + 1)
             return
         padded = label + [0] * (width - len(label))
         left_label = padded + [1]
         right_label = [0] * width + [-1]
         width += 1
-        assign(n.left, left_label)
-        assign(n.right, right_label)
+        assign(n.left, left_label, depth + 1)
+        assign(n.right, right_label, depth + 1)
 
-    assign(node, [1])
+    assign(node, [1], 0)
     matrix = tuple(
         tuple(v % modulus for v in label + [0] * (width - len(label)))
         for label, _ in rows
     )
-    return AccessStructure(matrix, tuple(attr for _, attr in rows), modulus)
+    return AccessStructure(matrix, tuple(attr for _, attr in rows), modulus, node)
 
 
 def share(
@@ -222,38 +241,6 @@ def share(
     return ShareSet(vector, shares)
 
 
-def _solve_mod(matrix: list[list[int]], rhs: list[int], p: int) -> "list[int] | None":
-    """First solution of matrix . x = rhs over Z_p in canonical pivot order,
-    free variables set to zero.  Returns None when inconsistent."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [[matrix[r][c] % p for c in range(cols)] + [rhs[r] % p] for r in range(rows)]
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [(v * inv) % p for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [(a - factor * b) % p for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    solution = [0] * cols
-    for row_idx, c in enumerate(pivot_cols):
-        solution[c] = aug[row_idx][cols]
-    return solution
-
-
 def reconstruct_coeffs(
     structure: AccessStructure, attributes
 ) -> "dict[int, int] | None":
@@ -261,17 +248,27 @@ def reconstruct_coeffs(
 
     Returns {row_index: omega} covering every row of I (zeros included)
     with sum(omega_i * lambda_i) = w for every sharing, or None when the
-    set does not satisfy the structure.
+    set does not satisfy the structure.  Omega is 1 on the leaves of one
+    satisfying subtree and 0 elsewhere; an OR gate takes its left child
+    when both are satisfied.
     """
-    p = structure.modulus
-    rows = structure.rows_for(attributes)
-    if not rows:
+    attributes = set(attributes)
+    next_row = 0
+
+    def pick(n) -> "list[int] | None":
+        """Rows of a satisfying subtree of n, or None; numbers n's leaves."""
+        nonlocal next_row
+        if isinstance(n, Leaf):
+            next_row += 1
+            return [next_row - 1] if n.attribute in attributes else None
+        left = pick(n.left)
+        right = pick(n.right)
+        if n.op == "OR":
+            return right if left is None else left
+        return None if left is None or right is None else left + right
+
+    picked = pick(structure.policy)
+    if picked is None:
         return None
-    # Solve x^T M_I = (1, 0, ..., 0), i.e. M_I^T x = e1.
-    cols = structure.columns
-    transposed = [[structure.matrix[r][c] for r in rows] for c in range(cols)]
-    rhs = [1] + [0] * (cols - 1)
-    solution = _solve_mod(transposed, rhs, p)
-    if solution is None:
-        return None
-    return {row: solution[idx] for idx, row in enumerate(rows)}
+    picked = set(picked)
+    return {row: int(row in picked) for row in structure.rows_for(attributes)}

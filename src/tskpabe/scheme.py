@@ -1,9 +1,10 @@
 """Time-sensitive key-policy ABE: setup, key issue, encrypt, decrypt, audit.
 
-Keys carry a monotone policy (as an LSSS) plus a set-cover of the holder's
-entitled days; ciphertexts carry attribute labels plus a set-cover of the
-content's decryptable days.  Decryption needs the attribute set to satisfy
-the key policy and at least one time node present verbatim on both sides.
+Keys carry a monotone policy formula (compiled to an LSSS) plus a
+set-cover of the holder's entitled days; ciphertexts carry attribute labels
+plus a set-cover of the content's decryptable days.  Decryption needs the
+attribute set to satisfy the key policy and at least one time node present
+verbatim on both sides.
 
 Two construction variants are supported and recorded inside every key and
 ciphertext:
@@ -46,6 +47,7 @@ from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u16
 _MAGIC = b"TSKA"
 _FORMAT_VERSION = 1
 _KIND_PK, _KIND_SK, _KIND_CT = 1, 2, 3
+_MARKER_MK, _MARKER_SK_MATRIX, _MARKER_SK = 0, 1, 2
 
 DEFAULT_DEPTH = 4
 
@@ -409,11 +411,11 @@ class TimedKpAbe:
         set fails the key policy or no time node matches verbatim."""
         self._check_pk(pk)
         self._check_pair_compat(ct, sk)
-        omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes)
-        if omegas is None:
-            return None
         matches = self._matching_nodes(ct, sk)
         if not matches:
+            return None
+        omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes)
+        if omegas is None:
             return None
         node = matches[0]
         suite = self.suite
@@ -445,9 +447,9 @@ class TimedKpAbe:
         self._check_pk(pk)
         self._check_pair_compat(ct, sk)
         suite = self.suite
-        omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes)
         matches = self._matching_nodes(ct, sk)
-        if omegas is None or not matches:
+        omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes) if matches else None
+        if omegas is None:
             raise ValueError("instance is not decryptable, nothing to audit")
         node = matches[0]
         p = suite.p
@@ -505,7 +507,9 @@ class TimedKpAbe:
 
 # ----------------------------------------------------------------------
 # Canonical serialization.  Header: magic, version, object kind, mode,
-# suite id, modulus; then the component lists in construction order.
+# suite id, modulus; then the component lists in construction order.  The
+# key kind starts with a marker: master key, or private key with its policy
+# formula as canonical text (the retired private-key format held a matrix).
 # ----------------------------------------------------------------------
 
 
@@ -591,26 +595,6 @@ def _read_cover(reader: Reader) -> TimeCover:
     return TimeCover.from_nodes(nodes)
 
 
-def _pack_access(access: AccessStructure, suite: TransparentSuite) -> bytes:
-    out = pack_u16(access.rows) + pack_u16(access.columns)
-    for row in access.matrix:
-        for value in row:
-            out += value.to_bytes(suite.scalar_width, "big")
-    for attribute in access.row_attributes:
-        out += pack_str(attribute)
-    return out
-
-
-def _read_access(reader: Reader, suite: TransparentSuite) -> AccessStructure:
-    rows = reader.u16()
-    cols = reader.u16()
-    matrix = tuple(
-        tuple(_read_residue(reader, suite) for _ in range(cols)) for _ in range(rows)
-    )
-    attributes = tuple(reader.str_() for _ in range(rows))
-    return AccessStructure(matrix, attributes, suite.p)
-
-
 def pk_to_bytes(pk: PublicParams) -> bytes:
     out = _pack_header(_KIND_PK, pk.mode, pk.suite)
     out += pack_u16(len(pk.universe)) + pack_u8(pk.depth)
@@ -658,7 +642,7 @@ def pk_from_bytes(data: bytes) -> PublicParams:
 def mk_to_bytes(mk: MasterKey, suite: TransparentSuite, mode: Mode) -> bytes:
     return (
         _pack_header(_KIND_SK, mode, suite)
-        + pack_u8(0)  # master-key marker inside the key kind
+        + pack_u8(_MARKER_MK)
         + _pack_scalar(mk.alpha, suite)
         + _pack_scalar(mk.beta, suite)
     )
@@ -667,8 +651,7 @@ def mk_to_bytes(mk: MasterKey, suite: TransparentSuite, mode: Mode) -> bytes:
 def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
     reader = Reader(data)
     mode, suite = _read_header(reader, _KIND_SK)
-    marker = reader.u8()
-    if marker != 0:
+    if reader.u8() != _MARKER_MK:
         raise WireError("not a master key")
     alpha = _read_scalar(reader, suite)
     if not alpha:
@@ -681,9 +664,9 @@ def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
 def sk_to_bytes(sk: PrivateKey) -> bytes:
     suite = sk.d0_prime.suite
     out = _pack_header(_KIND_SK, sk.mode, suite)
-    out += pack_u8(1)  # private-key marker
+    out += pack_u8(_MARKER_SK)
     out += _pack_scalar(sk.pid, suite)
-    out += _pack_access(sk.access, suite)
+    out += pack_str(lsss.policy_text(sk.access.policy))
     out += _pack_cover(sk.cover)
     out += _pack_element(sk.d0)
     out += _pack_element(sk.d0_prime)
@@ -697,12 +680,18 @@ def sk_to_bytes(sk: PrivateKey) -> bytes:
 def sk_from_bytes(data: bytes) -> PrivateKey:
     reader = Reader(data)
     mode, suite = _read_header(reader, _KIND_SK)
-    if reader.u8() != 1:
+    marker = reader.u8()
+    if marker == _MARKER_SK_MATRIX:
+        raise WireError("private key in the retired matrix format, reissue it")
+    if marker != _MARKER_SK:
         raise WireError("not a private key")
     pid = _read_scalar(reader, suite)
     if not pid:
         raise WireError("private key has a zero pseudo-identity")
-    access = _read_access(reader, suite)
+    try:
+        access = lsss.compile_policy(reader.str_(), suite.p)
+    except lsss.PolicyError as exc:
+        raise WireError(f"private key policy: {exc}") from None
     cover = _read_cover(reader)
     d0 = _read_target(reader, suite)
     d0_prime = _read_source(reader, suite)

@@ -820,6 +820,9 @@ def test_each_command_loads_only_its_modules(tmp_path, workspace, argv, code, lo
     assert set(names) == {"tskpabe.cli"} | {f"tskpabe.{m}" for m in loaded}
 
 
+_NESTED = "(" * 1200 + "gold" + ")" * 1200
+
+
 @pytest.mark.parametrize(
     ("argv", "code", "stderr"),
     [
@@ -835,9 +838,19 @@ def test_each_command_loads_only_its_modules(tmp_path, workspace, argv, code, lo
         (["dir-verify", "--dir", "{dir}", "--trusted", "rsu1=" + "cd" * 16], 4, None),
         (["check", "--ledger", "{edited_ledger}", "--pid", "pid:c3", "--now", "2022-07-06"], 4,
          "verification failure: ledger "),
+        (["keygen", "--pk", "{pk}", "--mk", "{mk}", "--policy", _NESTED, "--nodes", "2022-08",
+          "--id", "5", "--out", "{weak}"], 1, "error: policy nests deeper than"),
+        (["keygen", "--pk", "{pk}", "--mk", "{mk}", "--policy", " AND ".join(["gold"] * 1200),
+          "--nodes", "2022-08", "--id", "5", "--out", "{weak}"], 1,
+         "error: policy nests deeper than"),
+        (["decrypt", "--pk", "{pk}", "--sk", "{nested_sk}", "--ct", "{ct}"], 1,
+         "error: private key policy: policy nests deeper than"),
+        (["decrypt", "--pk", "{pk}", "--sk", "{retired_sk}", "--ct", "{ct}"], 1,
+         "error: private key in the retired matrix format"),
     ],
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
-         "wrong-secret", "edited-ledger"],
+         "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
+         "retired-key"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
@@ -851,8 +864,18 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
     (tmp_path / "flipped.pkg").write_bytes(bytes(flipped))
     ledger = Path(workspace["ledger"]).read_text().replace('"pid:c3"', '"pid:c4"')
     (tmp_path / "edited.jsonl").write_text(ledger)
+    # A private key is the 16-byte header, marker 2, the 4-byte pid, then
+    # its policy text; marker 1 is the retired matrix format.
+    key = Path(workspace["sk"]).read_bytes()
+    text_end = 25 + int.from_bytes(key[21:25], "big")
+    nested = _NESTED.encode()
+    (tmp_path / "nested-sk.bin").write_bytes(
+        key[:21] + len(nested).to_bytes(4, "big") + nested + key[text_end:]
+    )
+    (tmp_path / "retired-sk.bin").write_bytes(key[:16] + b"\x01" + key[17:])
     paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
-                 edited_ledger=tmp_path / "edited.jsonl")
+                 edited_ledger=tmp_path / "edited.jsonl", nested_sk=tmp_path / "nested-sk.bin",
+                 retired_sk=tmp_path / "retired-sk.bin")
     proc = subprocess.run(
         [sys.executable, "-m", "tskpabe.cli", *(a.format(**paths) for a in argv)],
         env=_fresh_env(), capture_output=True, text=True, timeout=60,

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from support import random_formula, satisfying_set, violating_set
 from tskpabe.lsss import (
+    MAX_DEPTH,
     Gate,
     Leaf,
     PolicyError,
     compile_policy,
     evaluate,
     parse_policy,
-    policy_leaves,
+    policy_text,
     reconstruct_coeffs,
     share,
 )
@@ -29,13 +30,16 @@ def test_parse_precedence_and_gates():
 
 
 def test_parse_errors():
-    for bad in ("", "AND", "a AND", "(a OR b", "a b", "a %% b"):
+    for bad in ("", "AND", "a AND", "(a OR b", "a b", "a %% b", "(" * 1200 + "a" + ")" * 1200):
         with pytest.raises(PolicyError):
             parse_policy(bad)
-
-
-def test_policy_leaves_in_row_order():
-    assert policy_leaves(parse_policy("(a AND b) OR a")) == ["a", "b", "a"]
+    # Too deep or too many leaves to compile, and a tree with no canonical text.
+    wide = " AND ".join(["(" + " OR ".join(["a"] * 16) + ")"] * 17)
+    for bad in (" AND ".join(["a"] * 1200), wide, Gate("AND", Leaf("a b"), Leaf("c"))):
+        with pytest.raises(PolicyError):
+            compile_policy(bad, P)
+    compile_policy("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH, P)
+    compile_policy(" AND ".join(["a"] * (MAX_DEPTH + 1)), P)
 
 
 def test_compile_and_gate():
@@ -120,9 +124,17 @@ def test_reconstruction_iff_boolean_satisfaction(formula_seed, set_seed):
     access = compile_policy(formula, P)
     set_rng = Random(set_seed)
     candidate = {a for a in _attrs if set_rng.random() < 0.5}
+    assert parse_policy(policy_text(formula)) == formula
     coeffs = reconstruct_coeffs(access, candidate)
     assert (coeffs is not None) == evaluate(formula, candidate)
     if coeffs is not None:
+        assert set(coeffs) == set(access.rows_for(candidate))
+        assert set(coeffs.values()) <= {0, 1}
+        combination = [
+            sum(coeffs[i] * access.matrix[i][c] for i in coeffs) % P
+            for c in range(access.columns)
+        ]
+        assert combination == [1] + [0] * (access.columns - 1)
         for trial in range(5):
             shares = share(access, set_rng.randrange(P), rng=set_rng)
             total = sum(coeffs[i] * shares.shares[i] for i in coeffs) % P

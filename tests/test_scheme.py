@@ -468,6 +468,8 @@ def test_serialization_roundtrips():
     pk, mk, sk, ct, _ = make_instance(scheme)
     assert pk_from_bytes(pk_to_bytes(pk)) == pk
     assert sk_from_bytes(sk_to_bytes(sk)) == sk
+    nested = make_instance(scheme, "(gold OR platinum) AND (family OR gold OR platinum)")[2]
+    assert sk_from_bytes(sk_to_bytes(nested)) == nested
     assert ct_from_bytes(ct_to_bytes(ct)) == ct
     assert pk_to_bytes(pk_from_bytes(pk_to_bytes(pk))) == pk_to_bytes(pk)
 
@@ -527,7 +529,6 @@ def test_out_of_range_fields_rejected():
         (pk_from_bytes, pk_bytes, len(pk_bytes) - width, pk.e_gg_alpha.log),
         (ct_from_bytes, ct_bytes, len(ct_bytes) - width, ct.c_time[-1][1].log),
         (sk_from_bytes, sk_bytes, header + 1, sk.pid.value),
-        (sk_from_bytes, sk_bytes, header + 1 + width + 4, sk.access.matrix[0][0]),
         (mk_from_bytes, mk_to_bytes(mk, suite, scheme.mode), header + 1, mk.alpha.value),
     ]
     for decode, data, offset, expected in cases:
@@ -544,6 +545,10 @@ def test_zero_pid_key_rejected():
     zeroed = data[:offset] + bytes(width) + data[offset + width :]
     with pytest.raises(WireError, match="zero pseudo-identity"):
         sk_from_bytes(zeroed)
+    # Marker 1 is the retired private-key format, which carried a matrix.
+    retired = data[: offset - 1] + b"\x01" + data[offset:]
+    with pytest.raises(WireError, match="retired matrix format"):
+        sk_from_bytes(retired)
 
 
 def test_zero_alpha_master_key_rejected():
