@@ -10,8 +10,9 @@ print match=0 and flip the exit code.
 import argparse
 import sys
 
+from tskpabe.audit import bench_instance
 from tskpabe.groups import DEFAULT_MODULUS, TransparentSuite
-from tskpabe.scheme import Mode, bench_instance
+from tskpabe.scheme import Mode
 
 
 def main() -> int:

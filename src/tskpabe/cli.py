@@ -167,13 +167,13 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    import json
-
     from .timetree import GREGORIAN, IDEALIZED_31, TimeWindow, set_cover
 
     calendar = {"gregorian": GREGORIAN, "idealized31": IDEALIZED_31}[args.calendar]
     cover = set_cover(TimeWindow.parse(args.window, calendar), calendar)
     if args.json:
+        import json
+
         print(json.dumps({"window": args.window, "nodes": cover.texts()}, sort_keys=True))
     else:
         for text in cover.texts():
@@ -182,8 +182,6 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    import json
-
     from .scheme import ct_from_bytes, pk_from_bytes, sk_from_bytes
 
     pk = pk_from_bytes(_read(args.pk))
@@ -192,6 +190,8 @@ def _cmd_audit(args) -> int:
     scheme = _scheme_for(pk)
     report = scheme.audit(pk, ct, sk)
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -207,6 +207,7 @@ def _cmd_audit(args) -> int:
                         for s in report.steps
                     ],
                     "all_closed": report.all_closed,
+                    "attributes_bound": report.attributes_bound,
                 },
                 sort_keys=True,
             )
@@ -219,14 +220,14 @@ def _cmd_audit(args) -> int:
             f"residual_log={s.residual.log}"
         )
     print(f"all_closed={int(report.all_closed)}")
+    print(f"attributes_bound={int(report.attributes_bound)}")
     return EXIT_OK
 
 
 def _cmd_bench(args) -> int:
-    import json
-
+    from .audit import bench_instance
     from .groups import parse_suite
-    from .scheme import DEFAULT_DEPTH, Mode, bench_instance
+    from .scheme import DEFAULT_DEPTH, Mode
 
     suite = parse_suite(args.suite)
     mode = Mode(args.mode)
@@ -249,6 +250,8 @@ def _cmd_bench(args) -> int:
     pair_match = pairings == predicted_p
     all_match &= pair_match
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {
@@ -383,8 +386,6 @@ def _cmd_dir_verify(args) -> int:
 
 
 def _cmd_sim_run(args) -> int:
-    import json
-
     from .ndnsim import Simulation, parse_scenario
 
     with open(args.config, encoding="utf-8") as fh:
@@ -394,6 +395,8 @@ def _cmd_sim_run(args) -> int:
         with open(args.events, "w", encoding="utf-8") as fh:
             fh.write("\n".join(result.events) + "\n")
     if args.json:
+        import json
+
         m = result.metrics
         print(
             json.dumps(

@@ -24,10 +24,10 @@ so receivers can validate downloads fetched from untrusted peers.
 
 import hashlib
 import hmac
-from dataclasses import dataclass
+from collections.abc import Mapping
 from random import Random
-from typing import Mapping
 
+from . import Record
 from .scheme import Ciphertext, PrivateKey, PublicParams, TimedKpAbe, ct_from_bytes, ct_to_bytes
 from .timetree import TimeCover
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
@@ -113,8 +113,7 @@ def _split(content: bytes, chunk_size: int) -> list[bytes]:
     return [content[i : i + chunk_size] for i in range(0, len(content), chunk_size)]
 
 
-@dataclass(frozen=True)
-class ContentPackage:
+class ContentPackage(Record):
     """Manifest plus the sealed chunks of one named content."""
 
     name: str
@@ -252,8 +251,7 @@ def package_from_bytes(data: bytes) -> ContentPackage:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DirectoryEntry:
+class DirectoryEntry(Record):
     name: str
     file_hash: bytes
     updated_at: int  # epoch seconds
@@ -295,8 +293,7 @@ def _directory_body(issuer: str, entries: tuple[DirectoryEntry, ...]) -> bytes:
     )
 
 
-@dataclass(frozen=True)
-class SignedDirectory:
+class SignedDirectory(Record):
     issuer: str
     entries: tuple[DirectoryEntry, ...]
     signature: bytes

@@ -15,8 +15,9 @@ The suite carries operation counters so callers can account for the exact
 number of pairings and exponentiations a computation performed.
 """
 
-from dataclasses import dataclass
 from random import Random
+
+from . import Record, _set
 
 _HASH_LABEL = b"hash-to-scalar.v1"
 
@@ -53,8 +54,7 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@dataclass
-class OpCounters:
+class OpCounters(Record, frozen=False):
     """Monotone operation tallies for one measurement scope."""
 
     pairings: int = 0
@@ -79,15 +79,14 @@ class OpCounters:
         )
 
 
-@dataclass(frozen=True)
-class Scalar:
+class Scalar(Record):
     """Residue mod the group order p.  Arithmetic is exact mod p."""
 
-    value: int
-    modulus: int
+    __slots__ = ("value", "modulus")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value: int, modulus: int):
+        _set(self, "value", value % modulus)
+        _set(self, "modulus", modulus)
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):

@@ -22,9 +22,9 @@ every recursive walk well inside Python's recursion limit.
 """
 
 import re
-from dataclasses import dataclass
 from random import Random
 
+from . import Record, _set
 from .groups import Scalar
 
 _TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|([A-Za-z_][A-Za-z0-9_\-]*))")
@@ -37,16 +37,20 @@ class PolicyError(ValueError):
     """Malformed policy text or structure."""
 
 
-@dataclass(frozen=True)
-class Leaf:
-    attribute: str
+class Leaf(Record):
+    __slots__ = ("attribute",)
+
+    def __init__(self, attribute: str):
+        _set(self, "attribute", attribute)
 
 
-@dataclass(frozen=True)
-class Gate:
-    op: str  # "AND" or "OR"
-    left: "Leaf | Gate"
-    right: "Leaf | Gate"
+class Gate(Record):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Leaf | Gate", right: "Leaf | Gate"):
+        _set(self, "op", op)  # "AND" or "OR"
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -142,8 +146,7 @@ def policy_text(node: "Leaf | Gate") -> str:
     return f"({policy_text(node.left)} {node.op} {policy_text(node.right)})"
 
 
-@dataclass(frozen=True)
-class AccessStructure:
+class AccessStructure(Record):
     """Share-generating matrix with its row-to-attribute map, entries mod p,
     and the formula it was compiled from (row i is its i-th leaf)."""
 
@@ -165,8 +168,7 @@ class AccessStructure:
         return [i for i, a in enumerate(self.row_attributes) if a in attributes]
 
 
-@dataclass(frozen=True)
-class ShareSet:
+class ShareSet(Record):
     """A masking vector and the per-row shares it induces."""
 
     vector: tuple[int, ...]

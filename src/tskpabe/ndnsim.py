@@ -30,11 +30,11 @@ import hashlib
 import math
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from random import Random
 
+from . import Record, _set
 from .envelope import (
     DirectoryEntry,
     KeyedDigestSigner,
@@ -72,8 +72,7 @@ class Level(str, Enum):
     CONDITIONAL = "conditional"
 
 
-@dataclass(frozen=True)
-class QoSSProfile:
+class QoSSProfile(Record):
     confidentiality: Level
     integrity: Level
     long_term_availability: Level
@@ -138,22 +137,19 @@ DEFAULT_HOP_BUDGET = 1_000_000
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeConfig:
+class NodeConfig(Record):
     node_id: str
     kind: NodeKind
     capacity: int
 
 
-@dataclass(frozen=True)
-class LinkConfig:
+class LinkConfig(Record):
     a: str
     b: str
     latency_ms: int
 
 
-@dataclass(frozen=True)
-class ContentConfig:
+class ContentConfig(Record):
     name: str
     origin: str
     size: int
@@ -161,16 +157,14 @@ class ContentConfig:
     default: bool = False
 
 
-@dataclass(frozen=True)
-class ScheduledOp:
+class ScheduledOp(Record):
     time: int
     seq: int
     kind: str  # request | tamper | relink | unlink
     params: dict
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     seed: int = 0
     chunk_size: int = DEFAULT_CHUNK_SIZE
     hop_budget: int = DEFAULT_HOP_BUDGET
@@ -311,11 +305,16 @@ link rsu3 vehicle1 latency=10
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class CachedCopy:
-    size: int
-    intact: bool = True  # the bytes equal the content's, so its digest matches
-    pinned: bool = False
+class CachedCopy(Record):
+    """One cache's copy of a content.  ``intact``: the bytes equal the
+    content's, so its digest matches; ``pinned``: never evicted."""
+
+    __slots__ = ("size", "intact", "pinned")
+
+    def __init__(self, size: int, intact: bool = True, pinned: bool = False):
+        _set(self, "size", size)
+        _set(self, "intact", intact)
+        _set(self, "pinned", pinned)
 
 
 class ContentStore:
@@ -367,15 +366,13 @@ class ContentStore:
             self._used += copy.size - old.size
 
 
-@dataclass(slots=True)
-class SimNode:
+class SimNode(Record, frozen=False):
     node_id: str
     kind: NodeKind
     store: ContentStore
 
 
-@dataclass(frozen=True, slots=True)
-class ContentRecord:
+class ContentRecord(Record):
     name: str
     origin: str
     category: DataCategory
@@ -384,27 +381,20 @@ class ContentRecord:
     default: bool
 
 
-@dataclass(frozen=True, slots=True)
-class RequestMetric:
-    seq: int
-    time: int
-    requester: str
-    name: str
-    outcome: str  # served | not-found
-    hops: int
-    latency_ms: int
-    served_from: str
-    served_from_kind: str
-    cache_hit: bool
-    integrity_retries: int
+class RequestMetric(Record):
+    """One interest's outcome; ``outcome`` is ``served`` or ``not-found``."""
+
+    __slots__ = (
+        "seq", "time", "requester", "name", "outcome", "hops", "latency_ms",
+        "served_from", "served_from_kind", "cache_hit", "integrity_retries",
+    )
 
     @classmethod
     def not_found(cls, seq: int, time: int, requester: str, name: str) -> "RequestMetric":
         return cls(seq, time, requester, name, "not-found", 0, 0, "-", "-", False, 0)
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(Record):
     requests: int
     served: int
     not_found: int
@@ -442,8 +432,7 @@ class Metrics:
         ]
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     metrics: Metrics
     events: tuple[str, ...]
 

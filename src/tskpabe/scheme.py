@@ -28,11 +28,10 @@ a successful decryption performs exactly 2*|I| + 3 pairings, where I is
 the set of key rows labeled by ciphertext attributes.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
-from . import lsss
+from . import Record, lsss
 from .groups import (
     Scalar,
     SourceElement,
@@ -41,7 +40,7 @@ from .groups import (
     TransparentSuite,
 )
 from .lsss import AccessStructure
-from .timetree import GREGORIAN, TimeCover, TimeNode
+from .timetree import TimeCover, TimeNode
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u16
 
 _MAGIC = b"TSKA"
@@ -65,8 +64,7 @@ class UnknownAttributeError(KeyError):
     """An attribute label outside the public parameters' universe."""
 
 
-@dataclass(frozen=True)
-class PublicParams:
+class PublicParams(Record):
     suite: TransparentSuite
     mode: Mode
     universe: tuple[str, ...]
@@ -100,14 +98,12 @@ class PublicParams:
         ]
 
 
-@dataclass(frozen=True)
-class MasterKey:
+class MasterKey(Record):
     alpha: Scalar
     beta: Scalar
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(Record):
     mode: Mode
     pid: Scalar
     access: AccessStructure
@@ -124,8 +120,7 @@ class PrivateKey:
         return out
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     mode: Mode
     attributes: tuple[str, ...]
     cover: TimeCover
@@ -140,90 +135,11 @@ class Ciphertext:
         return out
 
 
-@dataclass(frozen=True)
-class AuditStep:
-    step: str
-    name: str
-    lhs: TargetElement
-    rhs: TargetElement
-    residual: TargetElement
-    closed: bool
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    mode: Mode
-    node: TimeNode
-    steps: tuple[AuditStep, ...]
-
-    @property
-    def all_closed(self) -> bool:
-        return all(step.closed for step in self.steps)
-
-    def step(self, label: str) -> AuditStep:
-        for s in self.steps:
-            if s.step == label:
-                return s
-        raise KeyError(label)
-
-
 def component_counts(obj) -> tuple[int, int]:
     """(source, target) component counts, taken from the actual value."""
     if isinstance(obj, (PublicParams, PrivateKey, Ciphertext)):
         return (len(obj.source_elements()), 1)
     raise TypeError(f"cannot count components of {type(obj).__name__}")
-
-
-def predicted_counts(kind: str, **params) -> tuple[int, int]:
-    """Published size formulas: pk = U + T + 7, sk = 2l + |T| + 1,
-    ct = 2|Tc| + 1 source elements, each plus one target element."""
-    if kind == "pk":
-        return (params["universe_size"] + params["depth"] + 7, 1)
-    if kind == "sk":
-        return (2 * params["rows"] + params["cover_size"] + 1, 1)
-    if kind == "ct":
-        return (2 * params["cover_size"] + 1, 1)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def predicted_pairings(used_rows: int) -> int:
-    return 2 * used_rows + 3
-
-
-def _bench_cover(start_day, size, calendar=GREGORIAN) -> TimeCover:
-    nodes = []
-    day = start_day
-    for _ in range(size):
-        nodes.append(TimeNode(day))
-        day = calendar.next_day(day)
-    return TimeCover.from_nodes(nodes, calendar)
-
-
-def bench_instance(suite, mode: Mode, U: int, depth: int, l: int, tk: int, tc: int, seed: int):
-    """Build one instance for the size/pairing bench and measure it."""
-    scheme = TimedKpAbe(suite, mode)
-    rng = Random(seed)
-    pk, mk = scheme.setup(U, depth=depth, rng=rng)
-    policy = " AND ".join(pk.universe[i % U] for i in range(l))
-    access = lsss.compile_policy(policy, suite.p)
-    key_cover = _bench_cover((2022, 3, 10), tk)
-    ct_cover = _bench_cover((2022, 3, 10), tc)
-    pid = suite.hash_to_scalar(b"bench-pid")
-    sk = scheme.keygen(pk, mk, pid, key_cover, access, rng=rng)
-    message = suite.random_target(rng)
-    ct = scheme.encrypt(pk, message, ct_cover, pk.universe, rng=rng)
-    before = suite.counters.snapshot()
-    recovered = scheme.decrypt(pk, ct, sk)
-    pairings = suite.counters.since(before).pairings
-    used_rows = len(sk.access.rows_for(ct.attributes))
-    return {
-        "pk": (component_counts(pk), predicted_counts("pk", universe_size=U, depth=depth)),
-        "sk": (component_counts(sk), predicted_counts("sk", rows=l, cover_size=tk)),
-        "ct": (component_counts(ct), predicted_counts("ct", cover_size=tc)),
-        "pairings": (pairings, predicted_pairings(used_rows)),
-        "used_rows": used_rows,
-        "decrypted": recovered is not None,
-    }
 
 
 def _normalize_universe(universe) -> tuple[str, ...]:
@@ -436,73 +352,12 @@ class TimedKpAbe:
 
     # ------------------------------------------------------------------
 
-    def audit(self, pk: PublicParams, ct: Ciphertext, sk: PrivateKey) -> AuditReport:
-        """Check the decryption equation's derivation step by step.
+    def audit(self, pk: PublicParams, ct: Ciphertext, sk: PrivateKey):
+        """Check the decryption equation step by step; see
+        ``audit.audit_decryption``."""
+        from .audit import audit_decryption
 
-        Each step compares one side of a claimed identity against the other
-        and reports the quotient as a target-group residual.  Relies on the
-        suite being transparent: per-instance exponents are read off the
-        public parameters, key and ciphertext to build the comparison values.
-        """
-        self._check_pk(pk)
-        self._check_pair_compat(ct, sk)
-        suite = self.suite
-        matches = self._matching_nodes(ct, sk)
-        omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes) if matches else None
-        if omegas is None:
-            raise ValueError("instance is not decryptable, nothing to audit")
-        node = matches[0]
-        p = suite.p
-        g = pk.g
-        alpha = pk.g_alpha.log
-        beta = pk.g_beta.log
-        x = ct.c0_prime.log * pow(alpha * alpha % p, -1, p) % p
-        w = sk.d0_prime.log * alpha % p
-        d_time = sk.d_time[sk.cover.nodes.index(node)]
-        c0_tau, c1_tau = ct.c_time[ct.cover.nodes.index(node)]
-        v_tau = c0_tau.log
-        e_gg = suite.gt_generator()
-        g_w = g**w
-        inv_pid = sk.pid.inverse()
-
-        steps = []
-
-        def record(step, name, lhs, rhs):
-            residual = lhs * rhs.inverse()
-            steps.append(
-                AuditStep(step, name, lhs, rhs, residual, residual.is_identity())
-            )
-
-        record(
-            "a",
-            "blinding-factor-recovery",
-            suite.pair(ct.c0_prime, pk.g_inv_alpha),
-            e_gg ** (alpha * x),
-        )
-        record(
-            "b",
-            "masked-secret-pairing",
-            suite.pair(ct.c0_prime, sk.d0_prime),
-            e_gg ** (alpha * x * w),
-        )
-        record(
-            "c",
-            "time-term-cancellation",
-            suite.pair(d_time, c0_tau),
-            suite.pair(self._time_base(pk, node) ** v_tau, g_w),
-        )
-        lhs_d = suite.identity_target()
-        for i in sorted(omegas):
-            omega = suite.scalar(omegas[i])
-            d_i, d_i_prime = sk.rows[i]
-            k_i = self._helper_k(pk, sk.access.row_attributes[i])
-            lhs_d = lhs_d * (
-                suite.pair(c1_tau, d_i_prime ** (omega * inv_pid))
-                * suite.pair(d_i, k_i) ** omega
-            )
-        rhs_d = suite.pair(c1_tau, g_w) * suite.pair(g ** (beta * w), g ** (p - beta))
-        record("d", "attribute-product-collapse", lhs_d, rhs_d)
-        return AuditReport(self.mode, node, tuple(steps))
+        return audit_decryption(self, pk, ct, sk)
 
 
 # ----------------------------------------------------------------------

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
+from . import Record
 from .timetree import (
     GREGORIAN,
     CalendarSystem,
@@ -30,15 +29,12 @@ from .timetree import (
 )
 from .wire import pack_bytes, pack_str
 
-if TYPE_CHECKING:  # the ledger commands load neither the scheme nor its groups
-    from random import Random
-
-    from .groups import Scalar, TransparentSuite
-    from .scheme import MasterKey, PrivateKey, PublicParams, TimedKpAbe
+# Annotations stay unevaluated, so the scheme types they name (Scalar,
+# PrivateKey, TimedKpAbe, ...) are not imported: the ledger commands load
+# neither the scheme nor its groups.
 
 
-@dataclass(frozen=True)
-class PseudoIdentity:
+class PseudoIdentity(Record):
     scalar: Scalar
     display: str
 
@@ -55,8 +51,7 @@ def derive_pseudo_id(
     return PseudoIdentity.from_scalar(suite.hash_to_scalar(material))
 
 
-@dataclass(frozen=True)
-class SubscriptionRecord:
+class SubscriptionRecord(Record):
     user: str
     window: TimeWindow
     policy: str
@@ -139,15 +134,13 @@ class SubscriptionService:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(Record):
     pid: str  # pseudo-identity display form
     expected_expiry: Day
     tx_timestamp: str  # "day/seq" of the recording transaction
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     index: int
     kind: str  # "entries" | "prune"
     prev: str  # hex digest of the previous block, "" for the head
@@ -184,16 +177,18 @@ def _entry_from_payload(payload: dict) -> LedgerEntry:
     )
 
 
-@dataclass
-class RevocationLedger:
+class RevocationLedger(Record, frozen=False):
     """Append-only block log with digest chaining and compacting prune."""
 
-    calendar: CalendarSystem = GREGORIAN
-    blocks: list[Block] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-    _tx_seq: int = 0
+    calendar: CalendarSystem
+    blocks: list[Block]
+    warnings: list[str]
+    _tx_seq: int
     # pid -> entry of the "entries" blocks, kept in step wherever blocks change
-    _entries: dict[str, LedgerEntry] = field(default_factory=dict)
+    _entries: dict[str, LedgerEntry]
+
+    def __init__(self, calendar: CalendarSystem = GREGORIAN):
+        super().__init__(calendar, [], [], 0, {})
 
     def _append(self, kind: str, payload: dict) -> Block:
         prev = self.blocks[-1].digest if self.blocks else ""

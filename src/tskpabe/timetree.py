@@ -12,7 +12,9 @@ Gregorian table for an idealized 12 x 31 one.
 
 import datetime as _dt
 import re
-from dataclasses import dataclass
+from functools import total_ordering
+
+from . import Record, _set
 
 Day = tuple[int, int, int]
 
@@ -105,11 +107,20 @@ def format_day(day: Day) -> str:
     return f"{day[0]:04d}-{day[1]:02d}-{day[2]:02d}"
 
 
-@dataclass(frozen=True, order=True)
-class TimeNode:
-    """A tree node identified by its label path, year downwards."""
+@total_ordering
+class TimeNode(Record):
+    """A tree node identified by its label path, year downwards; nodes
+    order by their paths."""
 
-    components: tuple[int, ...]
+    __slots__ = ("components",)
+
+    def __init__(self, components: tuple[int, ...]):
+        _set(self, "components", components)
+
+    def __lt__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.components < other.components
 
     @property
     def depth(self) -> int:
@@ -142,12 +153,14 @@ class TimeNode:
         return self.text()
 
 
-@dataclass(frozen=True)
-class TimeWindow:
+class TimeWindow(Record):
     """Inclusive day range."""
 
-    start: Day
-    end: Day
+    __slots__ = ("start", "end")
+
+    def __init__(self, start: Day, end: Day):
+        _set(self, "start", start)
+        _set(self, "end", end)
 
     def validate(self, cal: CalendarSystem = GREGORIAN) -> None:
         cal.validate_day(self.start)
@@ -208,8 +221,7 @@ def _full_sibling_families(nodes: tuple[TimeNode, ...], cal: CalendarSystem) -> 
     return collapsible
 
 
-@dataclass(frozen=True)
-class TimeCover:
+class TimeCover(Record):
     """Disjoint nodes whose windows tile one calendar window exactly."""
 
     nodes: tuple[TimeNode, ...]

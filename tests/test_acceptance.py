@@ -20,6 +20,7 @@ from support import (
     satisfying_set,
     violating_set,
 )
+from tskpabe.audit import predicted_counts, predicted_pairings
 from tskpabe.cli import main
 from tskpabe.envelope import (
     ContentPackage,
@@ -34,13 +35,7 @@ from tskpabe.envelope import (
 from tskpabe.groups import TransparentSuite
 from tskpabe.lsss import compile_policy, evaluate, reconstruct_coeffs, share
 from tskpabe.ndnsim import FIVE_NODE_LINE, parse_scenario, run_scenario
-from tskpabe.scheme import (
-    Mode,
-    TimedKpAbe,
-    component_counts,
-    predicted_counts,
-    predicted_pairings,
-)
+from tskpabe.scheme import Mode, TimedKpAbe, component_counts
 from tskpabe.subscription import InfotainmentAgent, RevocationLedger, SubscriptionService
 from tskpabe.timetree import GREGORIAN, TimeCover, TimeWindow, set_cover
 

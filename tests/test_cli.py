@@ -10,7 +10,7 @@ import tskpabe
 from tskpabe.cli import build_parser, main
 from tskpabe.envelope import DEFAULT_CHUNK_SIZE
 from tskpabe.groups import DEFAULT_MODULUS, parse_suite
-from tskpabe.ndnsim import DataCategory
+from tskpabe.ndnsim import FIVE_NODE_LINE, DataCategory
 from tskpabe.scheme import DEFAULT_DEPTH, Mode
 
 SUITE = "transparent:2147483647"
@@ -286,6 +286,10 @@ def test_audit_cli_repaired_and_paper(capsys, tmp_path):
         assert closed["a"] and closed["b"] and closed["c"]
         assert closed["d"] is expect_closed
         assert report["all_closed"] is expect_closed
+        assert report["attributes_bound"] is False
+        code, out, _ = run(capsys, "audit", "--pk", str(pk), "--sk", str(sk), "--ct", str(ct))
+        assert code == 0
+        assert out.splitlines()[-2:] == [f"all_closed={int(expect_closed)}", "attributes_bound=0"]
 
 
 def test_seal_open_roundtrip_and_tamper(capsys, tmp_path, keyring):
@@ -794,12 +798,16 @@ _PROGRAM = {"groups", "lsss", "scheme", "timetree", "wire", "envelope", "ndnsim"
          {"subscription", "timetree", "wire"}),
         (["decrypt", "--pk", "{pk}", "--sk", "{sk}", "--ct", "{ct}"], 0,
          {"groups", "lsss", "scheme", "timetree", "wire"}),
+        (["audit", "--pk", "{pk}", "--sk", "{sk}", "--ct", "{ct}"], 0,
+         {"audit", "groups", "lsss", "scheme", "timetree", "wire"}),
+        (["bench", "--U", "3", "--l", "2", "--tk", "1", "--tc", "1"], 0,
+         {"audit", "groups", "lsss", "scheme", "timetree", "wire"}),
         (["seal", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--in", "{content}",
           "--out", "{pkg}"], 0, _PROGRAM - {"ndnsim", "subscription"}),
         (["open", "--pk", "{pk}", "--sk", "{sk}", "--in", "{pkg}", "--out", "{content}"], 0,
          _PROGRAM - {"ndnsim", "subscription"}),
     ],
-    ids=["cover", "revoke", "check", "prune", "decrypt", "seal", "open"],
+    ids=["cover", "revoke", "check", "prune", "decrypt", "audit", "bench", "seal", "open"],
 )
 def test_each_command_loads_only_its_modules(tmp_path, workspace, argv, code, loaded):
     """A command run in a fresh interpreter imports only the program modules
@@ -818,6 +826,58 @@ def test_each_command_loads_only_its_modules(tmp_path, workspace, argv, code, lo
     got_code, names = json.loads(report.read_text())
     assert got_code == code
     assert set(names) == {"tskpabe.cli"} | {f"tskpabe.{m}" for m in loaded}
+
+
+_SCENARIO = FIVE_NODE_LINE + (
+    "content clip origin=origin size=4000 category=public-infotainment\n"
+    "request t=1 requester=vehicle1 name=clip\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cover", "2022-07-01..2022-09-02"],
+        ["setup", "--out-pk", "{out}", "--out-mk", "{out}"],
+        ["keygen", "--pk", "{pk}", "--mk", "{mk}", "--policy", "gold", "--nodes", "2022-08",
+         "--id", "5", "--out", "{out}"],
+        ["encrypt", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--out", "{out}"],
+        ["decrypt", "--pk", "{pk}", "--sk", "{sk}", "--ct", "{ct}"],
+        ["audit", "--pk", "{pk}", "--sk", "{sk}", "--ct", "{ct}"],
+        ["bench", "--U", "3", "--l", "2", "--tk", "1", "--tc", "1"],
+        ["seal", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--in", "{content}",
+         "--out", "{out}"],
+        ["open", "--pk", "{pk}", "--sk", "{sk}", "--in", "{pkg}", "--out", "{out}"],
+        ["dir-build", "--issuer", "rsu1", "--secret", "ab" * 16, "--out", "{out}", "{content}"],
+        ["dir-verify", "--dir", "{dir}", "--trusted", "rsu1=" + "ab" * 16],
+        ["sim", "run", "{scenario}"],
+        ["revoke", "--ledger", "{ledger}", "--pid", "pid:e5", "--expiry", "2022-12-31",
+         "--now", "2022-07-06"],
+        ["check", "--ledger", "{ledger}", "--pid", "pid:c3", "--now", "2022-07-06"],
+        ["prune", "--ledger", "{ledger}", "--now", "2022-10-01"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]) if argv[0] == "sim" else argv[0],
+)
+def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
+    """Without ``site``, which may load ``typing`` itself, no command loads
+    ``dataclasses`` (whose classes ``exec`` generated methods), ``inspect``
+    or ``typing``."""
+    report = tmp_path / "modules.json"
+    scenario = tmp_path / "scenario.txt"
+    scenario.write_text(_SCENARIO)
+    probe = (
+        "import sys; from tskpabe.cli import main; code = main(sys.argv[2:]); "
+        "import json; heavy = ['dataclasses', 'inspect', 'typing']; "
+        "json.dump([code, [m for m in heavy if m in sys.modules]], open(sys.argv[1], 'w'))"
+    )
+    paths = dict(workspace, out=tmp_path / "out.bin", scenario=scenario)
+    subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(report), *(a.format(**paths) for a in argv)],
+        env=_fresh_env(), capture_output=True, check=True, timeout=60,
+    )
+    code, heavy = json.loads(report.read_text())
+    assert code == (2 if argv[0] == "check" else 0)
+    assert heavy == []
 
 
 _NESTED = "(" * 1200 + "gold" + ")" * 1200

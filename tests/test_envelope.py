@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import hmac
 from random import Random
@@ -25,7 +24,7 @@ from tskpabe.envelope import (
 )
 from tskpabe.groups import TransparentSuite
 from tskpabe.lsss import compile_policy
-from tskpabe.scheme import Mode, TimedKpAbe
+from tskpabe.scheme import Ciphertext, Mode, TimedKpAbe
 from tskpabe.timetree import TimeCover, TimeNode, TimeWindow, set_cover
 from tskpabe.wire import WireError
 
@@ -234,9 +233,15 @@ def test_relabelled_attributes(mode):
     package = seal(scheme, pk, "movie", content, content_cover(), ["platinum"], rng=rng)
     with pytest.raises(AccessDeniedError):
         open_package(scheme, pk, package, sk)
-    wrapped = dataclasses.replace(package.wrapped_key, attributes=("family", "gold"))
+    key = package.wrapped_key
+    wrapped = Ciphertext(key.mode, ("family", "gold"), key.cover, key.c0, key.c0_prime, key.c_time)
     forged = package_from_bytes(
-        package_to_bytes(dataclasses.replace(package, wrapped_key=wrapped))
+        package_to_bytes(
+            ContentPackage(
+                package.name, package.content_size, package.chunk_size, package.nonce,
+                package.plaintext_digest, package.chunk_digests, wrapped, package.chunks,
+            )
+        )
     )
     assert forged.attributes == ("family", "gold")
     if mode is Mode.REPAIRED:
@@ -329,7 +334,13 @@ def test_package_nonce_length_is_checked(world):
     scheme, pk, _, _ = world
     package = seal(scheme, pk, "movie", b"clip", content_cover(), ["gold"], rng=Random(14))
     for nonce in (package.nonce[:-1], package.nonce + b"\x00"):
-        data = package_to_bytes(dataclasses.replace(package, nonce=nonce))
+        data = package_to_bytes(
+            ContentPackage(
+                package.name, package.content_size, package.chunk_size, nonce,
+                package.plaintext_digest, package.chunk_digests, package.wrapped_key,
+                package.chunks,
+            )
+        )
         with pytest.raises(WireError, match="package nonce must be 16 bytes"):
             package_from_bytes(data)
 

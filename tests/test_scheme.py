@@ -9,6 +9,7 @@ from support import (
     recompute_step_d_logs,
     satisfying_set,
 )
+from tskpabe.audit import predicted_counts, predicted_pairings
 from tskpabe.groups import (
     OpCounters,
     SuiteMismatchError,
@@ -27,8 +28,6 @@ from tskpabe.scheme import (
     mk_to_bytes,
     pk_from_bytes,
     pk_to_bytes,
-    predicted_counts,
-    predicted_pairings,
     sk_from_bytes,
     sk_to_bytes,
 )
