@@ -9,7 +9,7 @@ from random import Random
 from . import Record, lsss
 from .groups import TargetElement
 from .scheme import Ciphertext, Mode, PrivateKey, PublicParams, TimedKpAbe, component_counts
-from .timetree import GREGORIAN, TimeCover, TimeNode
+from .timetree import TimeCover, TimeNode, next_day
 
 
 class AuditStep(Record):
@@ -127,13 +127,13 @@ def predicted_pairings(used_rows: int) -> int:
     return 2 * used_rows + 3
 
 
-def _bench_cover(start_day, size, calendar=GREGORIAN) -> TimeCover:
+def _bench_cover(start_day, size) -> TimeCover:
     nodes = []
     day = start_day
     for _ in range(size):
         nodes.append(TimeNode(day))
-        day = calendar.next_day(day)
-    return TimeCover.from_nodes(nodes, calendar)
+        day = next_day(day)
+    return TimeCover.from_nodes(nodes)
 
 
 def bench_instance(suite, mode: Mode, U: int, depth: int, l: int, tk: int, tc: int, seed: int):

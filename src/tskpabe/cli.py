@@ -42,13 +42,13 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _cover_from_args(args):
-    from .timetree import GREGORIAN, TimeCover, TimeNode, TimeWindow, set_cover
+    from .timetree import TimeCover, TimeNode, TimeWindow, set_cover
 
     if getattr(args, "window", None):
-        return set_cover(TimeWindow.parse(args.window, GREGORIAN), GREGORIAN)
+        return set_cover(TimeWindow.parse(args.window))
     if getattr(args, "nodes", None):
-        nodes = [TimeNode.parse(t, GREGORIAN) for t in args.nodes.split(",") if t]
-        return TimeCover.from_nodes(nodes, GREGORIAN)
+        nodes = [TimeNode.parse(t) for t in args.nodes.split(",") if t]
+        return TimeCover.from_nodes(nodes)
     raise UsageError("need --window or --nodes")
 
 
@@ -167,10 +167,9 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_cover(args) -> int:
-    from .timetree import GREGORIAN, IDEALIZED_31, TimeWindow, set_cover
+    from .timetree import TimeWindow, set_cover
 
-    calendar = {"gregorian": GREGORIAN, "idealized31": IDEALIZED_31}[args.calendar]
-    cover = set_cover(TimeWindow.parse(args.window, calendar), calendar)
+    cover = set_cover(TimeWindow.parse(args.window))
     if args.json:
         import json
 
@@ -537,7 +536,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cover", help="minimal time-node cover of a day window")
     p.add_argument("window")
-    p.add_argument("--calendar", default="gregorian", choices=["gregorian", "idealized31"])
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_cover)
 

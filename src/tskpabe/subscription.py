@@ -18,15 +18,7 @@ import hashlib
 import json
 
 from . import Record
-from .timetree import (
-    GREGORIAN,
-    CalendarSystem,
-    Day,
-    TimeWindow,
-    format_day,
-    parse_day,
-    set_cover,
-)
+from .timetree import Day, TimeWindow, format_day, parse_day, set_cover, validate_day
 from .wire import pack_bytes, pack_str
 
 # Annotations stay unevaluated, so the scheme types they name (Scalar,
@@ -89,7 +81,6 @@ class SubscriptionService:
         clock: Day,
         *,
         rng: Random,
-        calendar: CalendarSystem = GREGORIAN,
         channel: SecureChannelStub | None = None,
     ):
         self.scheme = scheme
@@ -97,14 +88,14 @@ class SubscriptionService:
         self.mk = mk
         self.clock = clock
         self.rng = rng
-        self.calendar = calendar
         self.channel = channel or SecureChannelStub()
 
     def subscribe(
         self, user: str, window: TimeWindow, policy: str, nonce: bytes = b""
     ) -> SubscriptionRecord:
-        window.validate(self.calendar)
-        if self.calendar.to_ordinal(window.end) < self.calendar.to_ordinal(self.clock):
+        window.validate()
+        validate_day(self.clock)
+        if window.end < self.clock:
             raise ValueError(
                 f"window {window} lies entirely before the provider clock "
                 f"{format_day(self.clock)}"
@@ -113,7 +104,7 @@ class SubscriptionService:
 
         pid = derive_pseudo_id(self.scheme.suite, user, window.start, nonce)
         access = lsss.compile_policy(policy, self.scheme.suite.p)
-        cover = set_cover(window, self.calendar)
+        cover = set_cover(window)
         key = self.scheme.keygen(
             self.pk, self.mk, pid.scalar, cover, access, rng=self.rng
         )
@@ -180,15 +171,14 @@ def _entry_from_payload(payload: dict) -> LedgerEntry:
 class RevocationLedger(Record, frozen=False):
     """Append-only block log with digest chaining and compacting prune."""
 
-    calendar: CalendarSystem
     blocks: list[Block]
     warnings: list[str]
     _tx_seq: int
     # pid -> entry of the "entries" blocks, kept in step wherever blocks change
     _entries: dict[str, LedgerEntry]
 
-    def __init__(self, calendar: CalendarSystem = GREGORIAN):
-        super().__init__(calendar, [], [], 0, {})
+    def __init__(self):
+        super().__init__([], [], 0, {})
 
     def _append(self, kind: str, payload: dict) -> Block:
         prev = self.blocks[-1].digest if self.blocks else ""
@@ -205,8 +195,8 @@ class RevocationLedger(Record, frozen=False):
     def revoke(self, pid: str, expected_expiry: Day, now: Day) -> LedgerEntry:
         """Record a cancellation.  Re-revoking an already listed identity
         is a no-op and only emits a warning."""
-        self.calendar.validate_day(expected_expiry)
-        self.calendar.validate_day(now)
+        validate_day(expected_expiry)
+        validate_day(now)
         existing = self.lookup(pid)
         if existing is not None:
             self.warnings.append(f"duplicate revocation ignored for {pid}")
@@ -225,12 +215,8 @@ class RevocationLedger(Record, frozen=False):
         the expired records physically disappear.  The record also keeps
         the stamp counter, so a pruned entry's stamp is never issued again.
         """
-        self.calendar.validate_day(clock)
-        clock_ord = self.calendar.to_ordinal(clock)
-        survivors = [
-            e for e in self._entries.values()
-            if self.calendar.to_ordinal(e.expected_expiry) >= clock_ord
-        ]
+        validate_day(clock)
+        survivors = [e for e in self._entries.values() if e.expected_expiry >= clock]
         removed = len(self._entries) - len(survivors)
         if removed == 0:
             return 0
@@ -283,16 +269,14 @@ class RevocationLedger(Record, frozen=False):
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod
-    def from_text(
-        cls, text: str, calendar: CalendarSystem = GREGORIAN
-    ) -> "RevocationLedger":
+    def from_text(cls, text: str) -> "RevocationLedger":
         """Parse the blocks and index their entries by pid, in block order.
         A line that is not a block, lacks a field, or holds an invalid day,
         a stamp without an integer ``/seq`` suffix or a repeated pid raises
         ValueError naming it.  New stamps continue after the largest loaded
         one and the counter a prune block kept.  The chain is not verified
         here."""
-        ledger = cls(calendar=calendar)
+        ledger = cls()
         for line_no, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
@@ -307,7 +291,6 @@ class RevocationLedger(Record, frozen=False):
                     ledger._tx_seq = max(ledger._tx_seq, seq)
                 for payload in block.payload["entries"] if block.kind == "entries" else ():
                     entry = _entry_from_payload(payload)
-                    calendar.validate_day(entry.expected_expiry)
                     seq = int(entry.tx_timestamp.rpartition("/")[2])
                     if entry.pid in ledger._entries:
                         raise ValueError(f"pid {entry.pid} listed twice")
@@ -325,9 +308,9 @@ class RevocationLedger(Record, frozen=False):
             fh.write(self.to_text())
 
     @classmethod
-    def load(cls, path, calendar: CalendarSystem = GREGORIAN) -> "RevocationLedger":
+    def load(cls, path) -> "RevocationLedger":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read(), calendar)
+            return cls.from_text(fh.read())
 
 
 class InfotainmentAgent:

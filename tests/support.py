@@ -1,59 +1,59 @@
 """Shared test helpers: independent oracles and generators.
 
 The oracles here deliberately avoid the production code paths they check:
-the cover-size oracle is a dynamic program over day positions, and the
-formula helpers work on the parsed tree only.
+the cover-size oracle is a dynamic program over day positions, the day
+arithmetic comes from ``datetime`` and ``calendar``, and the formula
+helpers work on the parsed tree only.
 """
 
+import datetime
+from calendar import isleap, monthrange
 from random import Random
 
 from tskpabe.lsss import Gate, Leaf, evaluate
-from tskpabe.timetree import (
-    GREGORIAN,
-    CalendarSystem,
-    MONTHS_PER_YEAR,
-    TimeCover,
-    TimeNode,
-    TimeWindow,
-)
+from tskpabe.timetree import TimeCover, TimeNode, TimeWindow
 
 
-def min_cover_size_dp(window: TimeWindow, cal: CalendarSystem = GREGORIAN) -> int:
+def ordinal(day) -> int:
+    return datetime.date(*day).toordinal()
+
+
+def from_ordinal(n: int):
+    d = datetime.date.fromordinal(n)
+    return (d.year, d.month, d.day)
+
+
+def min_cover_size_dp(window: TimeWindow) -> int:
     """Minimum number of tree nodes tiling the window, by dynamic
     programming over day positions.  Every tiling is a left-to-right
     sequence of aligned year/month/day blocks, so dp[i] is the cheapest
     tiling of the suffix starting at day i."""
-    start_ord = cal.to_ordinal(window.start)
-    end_ord = cal.to_ordinal(window.end)
-    n = end_ord - start_ord + 1
+    start_ord = ordinal(window.start)
+    n = ordinal(window.end) - start_ord + 1
     INF = n + 1
     dp = [INF] * (n + 1)
     dp[n] = 0
     for i in range(n - 1, -1, -1):
-        year, month, dom = cal.from_ordinal(start_ord + i)
+        year, month, dom = from_ordinal(start_ord + i)
         best = dp[i + 1] + 1  # single day block
         if dom == 1:
-            month_len = cal.days_in_month(year, month)
+            month_len = monthrange(year, month)[1]
             if i + month_len <= n:
                 best = min(best, dp[i + month_len] + 1)
             if month == 1:
-                year_len = (
-                    cal.to_ordinal((year, MONTHS_PER_YEAR, cal.days_in_month(year, MONTHS_PER_YEAR)))
-                    - (start_ord + i)
-                    + 1
-                )
+                year_len = 366 if isleap(year) else 365
                 if i + year_len <= n:
                     best = min(best, dp[i + year_len] + 1)
         dp[i] = best
     return dp[0]
 
 
-def random_window(rng: Random, lo_day, hi_day, cal: CalendarSystem = GREGORIAN) -> TimeWindow:
-    lo, hi = cal.to_ordinal(lo_day), cal.to_ordinal(hi_day)
+def random_window(rng: Random, lo_day, hi_day) -> TimeWindow:
+    lo, hi = ordinal(lo_day), ordinal(hi_day)
     a, b = rng.randint(lo, hi), rng.randint(lo, hi)
     if a > b:
         a, b = b, a
-    return TimeWindow(cal.from_ordinal(a), cal.from_ordinal(b))
+    return TimeWindow(from_ordinal(a), from_ordinal(b))
 
 
 def random_formula(rng: Random, attributes, max_leaves: int = 6):
@@ -83,13 +83,10 @@ def violating_set(node, attributes, rng: Random) -> set[str]:
     return set()
 
 
-def contiguous_day_cover(start_day, size: int, cal: CalendarSystem = GREGORIAN) -> TimeCover:
+def contiguous_day_cover(start_day, size: int) -> TimeCover:
     """Cover made of consecutive single-day nodes."""
-    nodes, day = [], start_day
-    for _ in range(size):
-        nodes.append(TimeNode(day))
-        day = cal.next_day(day)
-    return TimeCover.from_nodes(nodes, cal)
+    start = ordinal(start_day)
+    return TimeCover.from_nodes([TimeNode(from_ordinal(start + i)) for i in range(size)])
 
 
 def recompute_steps_abc_logs(pk, ct, sk, node) -> dict[str, tuple[int, int]]:

@@ -37,7 +37,7 @@ from tskpabe.lsss import compile_policy, evaluate, reconstruct_coeffs, share
 from tskpabe.ndnsim import FIVE_NODE_LINE, parse_scenario, run_scenario
 from tskpabe.scheme import Mode, TimedKpAbe, component_counts
 from tskpabe.subscription import InfotainmentAgent, RevocationLedger, SubscriptionService
-from tskpabe.timetree import GREGORIAN, TimeCover, TimeWindow, set_cover
+from tskpabe.timetree import TimeCover, TimeWindow, set_cover
 
 P = 2**31 - 1
 
@@ -128,8 +128,8 @@ def test_criterion_3_cover_minimality_against_dp():
     with Budget(3, "cover-minimality-vs-dp-oracle", 30):
         rng = Random(30_003)
         for _ in range(200):
-            window = random_window(rng, (2021, 1, 1), (2023, 12, 31), GREGORIAN)
-            assert len(set_cover(window)) == min_cover_size_dp(window, GREGORIAN)
+            window = random_window(rng, (2021, 1, 1), (2023, 12, 31))
+            assert len(set_cover(window)) == min_cover_size_dp(window)
 
 
 def _random_instance(scheme, rng, universe):

@@ -89,6 +89,10 @@ def test_cover_bad_window_is_usage_error(capsys):
     code, out, err = run(capsys, "cover", "2022-07-01..2022-02-30")
     assert code == 1
     assert "error" in err
+    # The Gregorian calendar is the only one; the option that chose another is gone.
+    code, out, err = run(capsys, "cover", "2022-07-01..2022-09-02", "--calendar", "idealized31")
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: unrecognized arguments: --calendar")
 
 
 def test_encrypt_decrypt_roundtrip(capsys, tmp_path, keyring):
@@ -860,14 +864,14 @@ _SCENARIO = FIVE_NODE_LINE + (
 )
 def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
     """Without ``site``, which may load ``typing`` itself, no command loads
-    ``dataclasses`` (whose classes ``exec`` generated methods), ``inspect``
-    or ``typing``."""
+    ``dataclasses`` (whose classes ``exec`` generated methods), ``inspect``,
+    ``typing`` or ``datetime`` (day arithmetic is the program's own)."""
     report = tmp_path / "modules.json"
     scenario = tmp_path / "scenario.txt"
     scenario.write_text(_SCENARIO)
     probe = (
         "import sys; from tskpabe.cli import main; code = main(sys.argv[2:]); "
-        "import json; heavy = ['dataclasses', 'inspect', 'typing']; "
+        "import json; heavy = ['dataclasses', 'inspect', 'typing', 'datetime']; "
         "json.dump([code, [m for m in heavy if m in sys.modules]], open(sys.argv[1], 'w'))"
     )
     paths = dict(workspace, out=tmp_path / "out.bin", scenario=scenario)
@@ -907,10 +911,14 @@ _NESTED = "(" * 1200 + "gold" + ")" * 1200
          "error: private key policy: policy nests deeper than"),
         (["decrypt", "--pk", "{pk}", "--sk", "{retired_sk}", "--ct", "{ct}"], 1,
          "error: private key in the retired matrix format"),
+        (["decrypt", "--pk", "{pk}", "--sk", "{newline_sk}", "--ct", "{ct}"], 1,
+         "error: bad time node '2022-07\\n'"),
+        (["check", "--ledger", "{ledger}", "--pid", "pid:e5", "--now", "0000-13-99"], 1,
+         "error: year must be positive, got 0"),
     ],
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
-         "retired-key"],
+         "retired-key", "newline-node", "invalid-now"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
@@ -933,9 +941,15 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
         key[:21] + len(nested).to_bytes(4, "big") + nested + key[text_end:]
     )
     (tmp_path / "retired-sk.bin").write_bytes(key[:16] + b"\x01" + key[17:])
+    # The policy text is followed by the node count and the first node,
+    # "2022-07", as a 4-byte length and its text.
+    assert key[text_end + 2:text_end + 13] == (7).to_bytes(4, "big") + b"2022-07"
+    (tmp_path / "newline-sk.bin").write_bytes(
+        key[:text_end + 2] + (8).to_bytes(4, "big") + b"2022-07\n" + key[text_end + 13:]
+    )
     paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
                  edited_ledger=tmp_path / "edited.jsonl", nested_sk=tmp_path / "nested-sk.bin",
-                 retired_sk=tmp_path / "retired-sk.bin")
+                 retired_sk=tmp_path / "retired-sk.bin", newline_sk=tmp_path / "newline-sk.bin")
     proc = subprocess.run(
         [sys.executable, "-m", "tskpabe.cli", *(a.format(**paths) for a in argv)],
         env=_fresh_env(), capture_output=True, text=True, timeout=60,

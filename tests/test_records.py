@@ -90,7 +90,7 @@ def _record_types(cls=Record) -> set:
 def _copy(record):
     """An independently built record with the same field values."""
     if isinstance(record, subscription.RevocationLedger):
-        twin = subscription.RevocationLedger(record.calendar)
+        twin = subscription.RevocationLedger()
         for entry in record.entries():
             twin.revoke(entry.pid, entry.expected_expiry, (2022, 7, 5))
         return twin

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from support import from_ordinal, ordinal
 from tskpabe.groups import TransparentSuite
 from tskpabe.scheme import Mode, TimedKpAbe, component_counts
 from tskpabe.subscription import (
@@ -16,7 +17,7 @@ from tskpabe.subscription import (
     SubscriptionService,
     derive_pseudo_id,
 )
-from tskpabe.timetree import GREGORIAN, TimeCover, TimeNode, TimeWindow, parse_day
+from tskpabe.timetree import TimeCover, TimeNode, TimeWindow, parse_day
 
 P = 2**31 - 1
 
@@ -41,10 +42,9 @@ def test_pseudo_id_deterministic_and_nonzero():
 def test_pseudo_id_varies_with_start_and_nonce():
     # A large modulus keeps accidental collisions out of a 10k sample.
     suite = TransparentSuite(2**61 - 1)
-    cal = GREGORIAN
-    base = cal.to_ordinal((2000, 1, 1))
+    base = ordinal((2000, 1, 1))
     pids = {
-        derive_pseudo_id(suite, "alice", cal.from_ordinal(base + i)).scalar.value
+        derive_pseudo_id(suite, "alice", from_ordinal(base + i)).scalar.value
         for i in range(10_000)
     }
     assert len(pids) == 10_000
@@ -89,6 +89,9 @@ def test_subscribed_key_decrypts_matching_month(provider):
 def test_subscribe_rejects_past_window(provider):
     with pytest.raises(ValueError, match="before the provider clock"):
         provider.subscribe("alice", TimeWindow.parse("2022-01-01..2022-02-01"), "gold")
+    provider.clock = (2022, 2, 30)
+    with pytest.raises(ValueError, match="invalid day 2022-02-30"):
+        provider.subscribe("alice", TimeWindow.parse("2022-07-01..2022-09-02"), "gold")
 
 
 def test_revoke_then_daily_check_denies(provider):
@@ -269,7 +272,7 @@ def test_prune_block_without_counter_still_loads():
 
 
 def _day(offset: int):
-    return GREGORIAN.from_ordinal(GREGORIAN.to_ordinal((2022, 7, 1)) + offset)
+    return from_ordinal(ordinal((2022, 7, 1)) + offset)
 
 
 _ledger_steps = st.lists(

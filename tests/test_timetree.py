@@ -1,20 +1,21 @@
 import calendar
+import datetime
 from random import Random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import min_cover_size_dp, random_window
+from support import from_ordinal, min_cover_size_dp, ordinal, random_window
 from tskpabe.timetree import (
-    GREGORIAN,
-    IDEALIZED_31,
-    FixedMonthCalendar,
     TimeCover,
     TimeNode,
     TimeWindow,
+    days_in_month,
     is_prefix,
+    next_day,
     node_window,
+    parse_day,
     set_cover,
     worst_case_cover_size,
 )
@@ -80,26 +81,26 @@ def test_empirical_cover_bound_three_year_span():
     assert seen_max <= worst
 
 
-def test_minimality_against_dp_idealized_calendar():
+def test_minimality_against_dp_leap_and_century_years():
+    # 2024 is a leap year; 2100 is not, though divisible by four.
     rng = Random(99)
-    for _ in range(200):
-        window = random_window(rng, (2021, 1, 1), (2022, 12, 31), IDEALIZED_31)
-        cover = set_cover(window, IDEALIZED_31)
-        assert len(cover) == min_cover_size_dp(window, IDEALIZED_31)
+    for lo, hi in (((2023, 1, 1), (2025, 12, 31)), ((2099, 1, 1), (2101, 12, 31))):
+        for _ in range(100):
+            window = random_window(rng, lo, hi)
+            assert len(set_cover(window)) == min_cover_size_dp(window)
 
 
 @given(st.integers(0, 1095), st.integers(0, 1095))
 def test_cover_tiles_window_exactly(a, b):
-    base = GREGORIAN.to_ordinal((2021, 1, 1))
+    base = ordinal((2021, 1, 1))
     lo, hi = min(a, b), max(a, b)
-    window = TimeWindow(GREGORIAN.from_ordinal(base + lo), GREGORIAN.from_ordinal(base + hi))
+    window = TimeWindow(from_ordinal(base + lo), from_ordinal(base + hi))
     cover = set_cover(window)
     spans = sorted(
-        (GREGORIAN.to_ordinal(w.start), GREGORIAN.to_ordinal(w.end))
-        for w in (node_window(node) for node in cover)
+        (ordinal(w.start), ordinal(w.end)) for w in (node_window(node) for node in cover)
     )
-    assert spans[0][0] == GREGORIAN.to_ordinal(window.start)
-    assert spans[-1][1] == GREGORIAN.to_ordinal(window.end)
+    assert spans[0][0] == ordinal(window.start)
+    assert spans[-1][1] == ordinal(window.end)
     for (_, prev_end), (next_start, _) in zip(spans, spans[1:]):
         assert next_start == prev_end + 1  # disjoint and gap-free
 
@@ -115,8 +116,8 @@ _nodes = st.one_of(
 def test_prefix_matches_window_containment(a, b):
     wa, wb = node_window(a), node_window(b)
     contained = (
-        GREGORIAN.to_ordinal(wa.start) <= GREGORIAN.to_ordinal(wb.start)
-        and GREGORIAN.to_ordinal(wb.end) <= GREGORIAN.to_ordinal(wa.end)
+        ordinal(wa.start) <= ordinal(wb.start)
+        and ordinal(wb.end) <= ordinal(wa.end)
         and a.depth <= b.depth
     )
     assert is_prefix(a, b) == contained
@@ -150,8 +151,25 @@ def test_invalid_dates_rejected():
         TimeWindow.parse("2022-09-02..2022-07-01")
     with pytest.raises(ValueError):
         TimeWindow.parse("2022-07-01")
-    # valid only on the idealized calendar
-    TimeNode.parse("2022-02-30", IDEALIZED_31)
+    # one canonical text per node and day: no trailing newline, ASCII digits only
+    for text in ("2022-08\n", "２０２２-08", "2022\n"):
+        with pytest.raises(ValueError, match="bad time node"):
+            TimeNode.parse(text)
+    for text in ("2022-07-01\n", "２０２２-07-01"):
+        with pytest.raises(ValueError, match="expected YYYY-MM-DD"):
+            parse_day(text)
+    with pytest.raises(ValueError, match="month out of range: 13"):
+        parse_day("0001-13-99")
+    with pytest.raises(ValueError, match="year must be positive"):
+        parse_day("0000-01-01")
+    with pytest.raises(ValueError, match="invalid day 2100-02-29"):
+        parse_day("2100-02-29")
+    assert parse_day("2000-02-29") == (2000, 2, 29)
+    # node text carries four year digits, so no node lies past year 9999
+    with pytest.raises(ValueError, match="year 10000 is out of range"):
+        TimeCover.from_nodes([TimeNode((10000,))])
+    with pytest.raises(ValueError, match="year 10000 is out of range"):
+        set_cover(TimeWindow((9999, 12, 31), (10000, 1, 1)))
 
 
 def test_node_text_roundtrip():
@@ -165,26 +183,17 @@ def test_window_text_roundtrip():
     assert TimeWindow.parse(text).text() == text
 
 
-@given(st.integers(700000, 760000))
-def test_gregorian_ordinal_roundtrip(o):
-    assert GREGORIAN.to_ordinal(GREGORIAN.from_ordinal(o)) == o
-
-
-@given(st.integers(0, 10_000_00))
-def test_idealized_ordinal_roundtrip(o):
-    assert IDEALIZED_31.to_ordinal(IDEALIZED_31.from_ordinal(o)) == o
-
-
-def test_fixed_month_calendar_lengths():
-    cal = FixedMonthCalendar(30)
-    assert cal.days_in_month(2022, 2) == 30
-    assert GREGORIAN.days_in_month(2022, 2) == 28
-    assert GREGORIAN.days_in_month(2024, 2) == 29
+@given(st.integers(1, datetime.date.max.toordinal() - 1))
+def test_next_day_matches_stdlib(o):
+    d = datetime.date.fromordinal(o)
+    assert next_day((d.year, d.month, d.day)) == from_ordinal(o + 1)
 
 
 def test_gregorian_leap_years_match_stdlib():
+    assert days_in_month(2022, 2) == 28
+    assert days_in_month(2024, 2) == 29
     for year in range(1, 10_000):
-        assert GREGORIAN.days_in_month(year, 2) == (29 if calendar.isleap(year) else 28), year
+        assert days_in_month(year, 2) == (29 if calendar.isleap(year) else 28), year
 
 
 def test_cover_window_reports_full_span():
