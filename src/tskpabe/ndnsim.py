@@ -16,14 +16,21 @@ Everything is driven by a scripted schedule (requests, cache tampering,
 topology edits), so a run is a pure function of its config: identical
 seeds produce byte-identical event logs, and the metrics can be recomputed
 from the log alone.  A ``Simulation`` runs once: ``run()`` hands its event
-log and metric rows to the result it returns.
+log and metric rows to the result it returns and drops everything else
+(topology, stores, contents, directories, trees), so a finished Simulation
+holds nothing and a second ``run()`` raises ``ScenarioError``.
 
-Only the standard library is used.  Each interest runs a ``heapq``
-Dijkstra from the requester that stops once the nearest holders are
-settled; equal-cost ties break as in networkx's ``single_source_dijkstra``
-(the test suite checks this against networkx).  Content is drawn as random
-bytes to fix its digest, but copies keep only their size and whether they
-still match, so a delivery hashes nothing.
+Only the standard library is used.  An interest is answered from the
+requester's shortest-path tree: one full ``heapq`` Dijkstra per source,
+cached until a topology edit could change it; equal-cost ties break as in
+networkx's ``single_source_dijkstra`` (the test suite checks this against
+networkx).  A *barren* node (no content's origin, capacity <= 0 and
+nothing preloaded) can never hold a copy.  One with at most one link, such
+as a vehicle hanging off a roadside unit, is left out of every tree, asks
+through its neighbour's tree, and may hand over (unlink, relink) without
+clearing the cache.  Content is drawn as random bytes to fix its digest,
+but copies keep only their size and whether they still match, so a
+delivery hashes nothing.
 """
 
 import hashlib
@@ -494,6 +501,18 @@ class Simulation:
         self._verify_directories()
         self._preload_defaults()
 
+        # A barren node never holds a copy: no content starts there, and
+        # past preload only _deliver caches, never at capacity <= 0.
+        origins = {record.origin for record in self.contents.values()}
+        self._barren = frozenset(
+            node_id for node_id, node in self.nodes.items()
+            if node_id not in origins and node.store.capacity <= 0 and not node.store._items
+        )
+        self._ids = tuple(self.nodes)
+        self._index = {node_id: i for i, node_id in enumerate(self._ids)}
+        self._holdings = [node.store._items for node in self.nodes.values()]
+        self._trees: dict[str, tuple] = {}
+
     # ------------------------------------------------------------------
 
     def _log(self, line: str) -> None:
@@ -568,50 +587,92 @@ class Simulation:
 
     # ------------------------------------------------------------------
 
+    def _dead_end(self, node_id: str) -> bool:
+        """A barren node with at most one link: no path passes through it."""
+        return node_id in self._barren and len(self.adj[node_id]) <= 1
+
+    def _tree(self, source: str) -> tuple:
+        """The shortest-path tree from ``source`` as (settle order, distance,
+        parent position): node indices in the order a full Dijkstra settles
+        them, and for each position the distance and the position of the
+        parent (-1 at the source).  A node's parent changes only on a
+        strictly shorter distance and the heap breaks ties by push order, as
+        in networkx's ``single_source_dijkstra``.  Barren dead ends other
+        than the source are never pushed: settling one relaxes nothing, and
+        the push counter only orders pushes, so the rest of the tree is the
+        same.  Trees of barren sources are not cached, since such a node's
+        own links change in edits that keep the cache."""
+        tree = self._trees.get(source)
+        if tree is not None:
+            return tree
+        from array import array  # only routing needs it
+
+        adj, index, barren = self.adj, self._index, self._barren
+        order, dists, parents = array("i"), [], array("i")
+        position: dict[str, int] = {}
+        best = {source: 0}
+        # Heap entries carry the parent's position: a node's first entry off
+        # the heap is its last push, made on its shortest distance.
+        heap = [(0, 0, source, -1)]
+        pushes = 1
+        while heap:
+            d, _, v, up = heappop(heap)
+            if v in position:
+                continue
+            here = position[v] = len(order)
+            order.append(index[v])
+            dists.append(d)
+            parents.append(up)
+            for u, cost in adj[v].items():
+                if u in position or (u in barren and len(adj[u]) <= 1):
+                    continue
+                du = d + cost
+                if u not in best or du < best[u]:
+                    best[u] = du
+                    heappush(heap, (du, pushes, u, here))
+                    pushes += 1
+        try:
+            dists = array("q", dists)
+        except OverflowError:  # latencies past 64 bits stay Python ints
+            pass
+        tree = (order, dists, parents)
+        if source not in self._barren:
+            self._trees[source] = tree
+        return tree
+
     def _nearest(self, requester: str, name: str, exclude: set[str]):
         """Nearest holder of ``name`` outside ``exclude`` as (holder, path,
         latency), or None if none is reachable.  Holders are the origin and
         every store with a copy.  Among holders at the same smallest latency
         the smallest node id wins, and the path is the one networkx's
-        ``single_source_dijkstra`` gives: a node's parent changes only on a
-        strictly shorter distance, and the heap breaks ties by push order.
-        The search stops once every node at the winning latency is settled."""
-        origin = self.contents[name].origin
-        nodes, adj = self.nodes, self.adj
-        settled: set[str] = set()
-        best = {requester: 0}
-        parent: dict[str, str] = {}
-        heap = [(0, 0, requester)]
-        pushes = 1
-        holders: list[str] = []
-        bound = None
-        while heap:
-            d, _, v = heappop(heap)
-            if bound is not None and d > bound:
+        ``single_source_dijkstra`` gives.  The answer is read off the
+        requester's cached shortest-path tree (see ``_tree``); a barren dead
+        end with one neighbour reads its neighbour's tree, one link further."""
+        links = self.adj[requester]
+        source, hop = requester, 0
+        if self._dead_end(requester) and requester not in links and links:
+            ((source, hop),) = links.items()
+        order, dists, parents = self._tree(source)
+        origin = self._index[self.contents[name].origin]
+        holdings, ids = self._holdings, self._ids
+        found, bound = -1, None
+        for p, i in enumerate(order):
+            if bound is not None and dists[p] != bound:
                 break
-            if v in settled:
-                continue
-            settled.add(v)
-            if v not in exclude and (v == origin or name in nodes[v].store):
-                holders.append(v)
-                bound = d
-            for u, cost in adj[v].items():
-                if u in settled:
-                    continue
-                du = d + cost
-                if u not in best or du < best[u]:
-                    best[u] = du
-                    parent[u] = v
-                    heappush(heap, (du, pushes, u))
-                    pushes += 1
-        if not holders:
+            if (i == origin or name in holdings[i]) and ids[i] not in exclude:
+                if found < 0 or ids[i] < ids[order[found]]:
+                    found = p
+                bound = dists[p]
+        if found < 0:
             return None
-        holder = min(holders)
-        path = [holder]
-        while path[-1] != requester:
-            path.append(parent[path[-1]])
+        path = []
+        while found >= 0:
+            path.append(ids[order[found]])
+            found = parents[found]
+        if source != requester:
+            path.append(requester)
         path.reverse()
-        return holder, path, bound
+        return path[-1], path, hop + bound
 
     def _copy_intact(self, node_id: str, name: str) -> bool:
         """Whether the holder's bytes match the content's digest; reading a
@@ -707,17 +768,8 @@ class Simulation:
             f"latency={latency} hit={int(hit)} retries={retries}"
         )
         metric = RequestMetric(
-            seq=seq,
-            time=t,
-            requester=requester,
-            name=record.name,
-            outcome="served",
-            hops=len(path) - 1,
-            latency_ms=latency,
-            served_from=holder,
-            served_from_kind=kind,
-            cache_hit=hit,
-            integrity_retries=retries,
+            seq, t, requester, record.name, "served", len(path) - 1, latency,
+            holder, kind, hit, retries,
         )
         self._metrics_rows.append(metric)
         return metric
@@ -755,35 +807,61 @@ class Simulation:
         for end in (a, b):
             if end not in self.nodes:
                 raise ScenarioError(f"relink references unknown node {end!r}")
+        dead_ends = self._dead_ends(a, b)
         self._link(a, b, latency)
+        self._edited(a, b, dead_ends)
         self._log(f"ev=relink t={op.time} a={a} b={b} latency={latency}")
 
     def _apply_unlink(self, op: ScheduledOp) -> None:
         a, b = op.params.get("a", ""), op.params.get("b", "")
+        dead_ends = self._dead_ends(a, b)
         if b in self.adj.get(a, ()):
             del self.adj[a][b]
             self.adj[b].pop(a, None)  # absent for a self-loop
+        self._edited(a, b, dead_ends)
         self._log(f"ev=unlink t={op.time} a={a} b={b}")
 
+    def _dead_ends(self, a: str, b: str) -> set[str]:
+        return {end for end in (a, b) if self._dead_end(end)}
+
+    def _edited(self, a: str, b: str, dead_ends: set[str]) -> None:
+        """Keep the cached trees across an edit of the link a-b only when one
+        end is a barren dead end both before and after it.  No tree holds
+        that end.  The other end gains or loses only that neighbour; if it is
+        barren it may join or leave trees, but as a leaf that holds nothing,
+        and its own tree is never cached."""
+        if not dead_ends & self._dead_ends(a, b):
+            self._trees.clear()
+
     def run(self) -> SimulationResult:
-        for op in sorted(self.config.schedule, key=lambda o: (o.time, o.seq)):
-            if op.kind == "request":
-                self.submit_interest(
-                    op.params.get("requester", ""), op.params.get("name", ""), op.time
-                )
-            elif op.kind == "tamper":
-                self._apply_tamper(op)
-            elif op.kind == "relink":
-                self._apply_relink(op)
-            elif op.kind == "unlink":
-                self._apply_unlink(op)
-            else:
-                raise ScenarioError(f"unknown scheduled op {op.kind!r}")
-        # Hand the log and rows over, so a finished Simulation holds neither.
-        metrics = Metrics.from_rows(self._metrics_rows, self._integrity_events)
-        result = SimulationResult(metrics, tuple(self.events))
+        if self.config is None:
+            raise ScenarioError("simulation already ran")
+        try:
+            for op in sorted(self.config.schedule, key=lambda o: (o.time, o.seq)):
+                if op.kind == "request":
+                    self.submit_interest(
+                        op.params.get("requester", ""), op.params.get("name", ""), op.time
+                    )
+                elif op.kind == "tamper":
+                    self._apply_tamper(op)
+                elif op.kind == "relink":
+                    self._apply_relink(op)
+                elif op.kind == "unlink":
+                    self._apply_unlink(op)
+                else:
+                    raise ScenarioError(f"unknown scheduled op {op.kind!r}")
+            metrics = Metrics.from_rows(self._metrics_rows, self._integrity_events)
+            return SimulationResult(metrics, tuple(self.events))
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop the whole run state: a finished Simulation holds nothing."""
+        self.config = None
         self.events, self._metrics_rows = [], []
-        return result
+        self.nodes, self.adj, self.contents, self.directories = {}, {}, {}, {}
+        self._listed, self._trusted, self._trees, self._index = {}, {}, {}, {}
+        self._barren, self._ids, self._holdings = frozenset(), (), []
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationResult:

@@ -556,43 +556,263 @@ def _random_topology(rng: Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _graph(nx, config):
+    graph = nx.Graph()
+    graph.add_nodes_from(n.node_id for n in config.nodes)
+    for link in config.links:
+        graph.add_edge(link.a, link.b, latency=link.latency_ms)
+    return graph
+
+
+def _apply_edit(sim, graph, op):
+    """Apply a relink or unlink to the simulation, through its edit methods,
+    and to the networkx graph."""
+    a, b = op.params["a"], op.params["b"]
+    if op.kind == "relink":
+        sim._apply_relink(op)
+        graph.add_edge(a, b, latency=int(op.params["latency"]))
+    else:
+        sim._apply_unlink(op)
+        if graph.has_edge(a, b):
+            graph.remove_edge(a, b)
+
+
+def _check_router(nx, sim, graph, names, rng) -> int:
+    """Every node asks for each name with a random set of holders excluded;
+    the router must give what a full networkx Dijkstra gives.  Returns the
+    number of answers that found a holder."""
+    found = 0
+    ids = list(sim.nodes)
+    for requester in ids:
+        dist, paths = nx.single_source_dijkstra(graph, requester, weight="latency")
+        for name in names:
+            exclude = set(rng.sample(ids, rng.randint(0, len(ids) // 2)))
+            origin = sim.contents[name].origin
+            holders = [
+                h for h in ids
+                if h not in exclude and h in dist and (h == origin or name in sim.nodes[h].store)
+            ]
+            want = None
+            if holders:
+                holder = min(holders, key=lambda h: (dist[h], h))
+                want = (holder, paths[holder], dist[holder])
+            assert sim._nearest(requester, name, exclude) == want
+            found += want is not None
+    return found
+
+
 def test_router_matches_networkx_dijkstra():
-    """The early-exit router picks the holder, path and latency that a full
-    networkx Dijkstra over the same edits picks: the nearest holder, ties
-    to the smallest id, networkx's path among equal-cost ones."""
+    """The router picks the holder, path and latency that a full networkx
+    Dijkstra over the same edits picks: the nearest holder, ties to the
+    smallest id, networkx's path among equal-cost ones."""
     nx = pytest.importorskip("networkx")
     rng = Random(8)
     checked = 0
     for _ in range(150):
         config = parse_scenario(_random_topology(rng))
         sim = Simulation(config)
-        sim.run()  # applies the relinks and unlinks
-        graph = nx.Graph()
-        graph.add_nodes_from(n.node_id for n in config.nodes)
-        for link in config.links:
-            graph.add_edge(link.a, link.b, latency=link.latency_ms)
+        graph = _graph(nx, config)
         for op in config.schedule:
-            a, b = op.params["a"], op.params["b"]
-            if op.kind == "relink":
-                graph.add_edge(a, b, latency=int(op.params["latency"]))
-            elif graph.has_edge(a, b):
-                graph.remove_edge(a, b)
+            _apply_edit(sim, graph, op)
         ids = [n.node_id for n in config.nodes]
         origin = config.contents[0].origin
         for node_id in rng.sample(ids, rng.randint(0, len(ids) - 1)):
             if node_id != origin:
                 sim.nodes[node_id].store.put("/x", CachedCopy(10))
-        for requester in ids:
-            exclude = set(rng.sample(ids, rng.randint(0, len(ids) // 2)))
-            dist, paths = nx.single_source_dijkstra(graph, requester, weight="latency")
-            holders = [
-                h for h in ids
-                if h not in exclude and h in dist and (h == origin or "/x" in sim.nodes[h].store)
-            ]
-            want = None
-            if holders:
-                holder = min(holders, key=lambda h: (dist[h], h))
-                want = (holder, paths[holder], dist[holder])
-            assert sim._nearest(requester, "/x", exclude) == want
-            checked += want is not None
+        checked += _check_router(nx, sim, graph, ["/x"], rng)
     assert checked > 500
+
+
+def _vehicle_topology(rng: Random) -> str:
+    """Roadside units and servers in a connected core, vehicles hanging off
+    it (most with no store, some with two links or a link to another
+    vehicle), sometimes empty default content that every unit and vehicle
+    holds, then handovers and random edits."""
+    rsus = [f"r{i}" for i in range(rng.randint(1, 6))]
+    vehicles = [f"v{i}" for i in range(rng.randint(1, 6))]
+    core = ["origin", "spare"] + rsus
+    rng.shuffle(core)
+    lines = [
+        "node origin kind=third-party-server capacity=0",
+        "node spare kind=authority-server capacity=0",  # no content: barren
+    ]
+    lines += [f"node {r} kind=rsu capacity={rng.choice((0, 100))}" for r in rsus]
+    lines += [f"node {v} kind=vehicle capacity={rng.choice((0, 0, 0, 100))}" for v in vehicles]
+    latency = (0, 1, 1, 2, 3, 2**64)
+    links = [(core[k], rng.choice(core[:k])) for k in range(1, len(core))]
+    links += [tuple(rng.sample(core, 2)) for _ in range(rng.randint(0, len(core)))]
+    for v in vehicles:
+        links.append((v, rng.choice(core + vehicles[:int(v[1:])])))
+        if rng.random() < 0.3:
+            links.append((v, rng.choice(core + vehicles)))
+    lines += [f"link {a} {b} latency={rng.choice(latency)}" for a, b in links]
+    lines.append("content /x origin=origin size=10 category=public-traffic")
+    default = rng.choice((0, 1))
+    lines.append(f"content /z origin=origin size=0 category=public-traffic default={default}")
+    nodes = core + vehicles
+    for t in range(1, rng.randint(2, 12)):
+        v = rng.choice(vehicles)
+        if rng.random() < 0.6:
+            a, b = v, rng.choice(nodes)
+        else:
+            a, b = rng.choice(links) if rng.random() < 0.5 else rng.sample(nodes, 2)
+        if rng.random() < 0.5:
+            lines.append(f"unlink t={t} a={a} b={b}")
+        else:
+            lines.append(f"relink t={t} a={a} b={b} latency={rng.choice(latency)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_router_matches_networkx_with_vehicles():
+    """Barren nodes (no content's origin, no store, holding nothing) that
+    hang off one link are left out of the cached shortest-path trees and
+    route through their neighbour's tree.  After every edit the router
+    must still answer as networkx does: for vehicle dead ends and their
+    handovers, vehicles with two links, vehicles that hold empty default
+    content, isolated vehicles and latencies past 64 bits."""
+    nx = pytest.importorskip("networkx")
+    rng = Random(15)
+    checked = 0
+    for _ in range(300):
+        config = parse_scenario(_vehicle_topology(rng))
+        sim = Simulation(config)
+        for node_id, node in sim.nodes.items():
+            if node.store.capacity > 0 and rng.random() < 0.4:
+                node.store.put("/x", CachedCopy(10))
+        graph = _graph(nx, config)
+        checked += _check_router(nx, sim, graph, ["/x", "/z"], rng)
+        for op in config.schedule:
+            _apply_edit(sim, graph, op)
+            checked += _check_router(nx, sim, graph, ["/x", "/z"], rng)
+    assert checked > 5000
+
+
+def test_moving_transit_vehicle_routes_from_its_new_links():
+    """A vehicle without a store that relays for another keeps no cached
+    tree of its own: after it moves through edits that keep the cache, it
+    routes from where it is now."""
+    text = (
+        "node origin kind=third-party-server capacity=0\n"
+        "node r0 kind=rsu capacity=1000\n"
+        "node r1 kind=rsu capacity=1000\n"
+        "node v1 kind=vehicle capacity=0\n"
+        "node v2 kind=vehicle capacity=0\n"
+        "link origin r0 latency=1\n"
+        "link r0 r1 latency=1\n"
+        "link v2 r0 latency=1\n"
+        "link v1 v2 latency=1\n"
+        "content /c origin=origin size=10 category=v2x-private\n"
+        "request t=1 requester=v2 name=/c\n"
+        "unlink t=2 a=v1 b=v2\n"
+        "unlink t=3 a=v2 b=r0\n"
+        "relink t=4 a=v2 b=r1 latency=1\n"
+        "relink t=5 a=v2 b=v1 latency=1\n"
+        "request t=6 requester=v2 name=/c\n"
+        "request t=7 requester=v1 name=/c\n"
+    )
+    rows = run_scenario(parse_scenario(text)).metrics.per_request
+    assert [(m.hops, m.latency_ms) for m in rows] == [(2, 2), (3, 3), (4, 4)]
+
+
+def city_scenario() -> str:
+    """30 roadside units on a ring with cross links, two origins, 30 vehicles
+    hanging off the units (24 with no store, one more linked to a second
+    unit, one to another vehicle), small unit caches that evict, pinned
+    default content, handovers, and tampered copies each requested again
+    at once."""
+    rng = Random(30)
+    rsus = [f"rsu{i}" for i in range(30)]
+    vehicles = [f"veh{i}" for i in range(30)]
+    lines = [
+        "seed 30",
+        "chunk-size 1000",
+        "node origin0 kind=third-party-server capacity=0",
+        "node origin1 kind=authority-server capacity=0",
+    ]
+    lines += [f"node {r} kind=rsu capacity={rng.choice((3000, 4000, 6000))}" for r in rsus]
+    lines += [
+        f"node {v} kind=vehicle capacity={1500 if i < 6 else 0}" for i, v in enumerate(vehicles)
+    ]
+    for i, r in enumerate(rsus):
+        lines.append(f"link {r} {rsus[(i + 1) % 30]} latency={rng.randint(1, 4)}")
+        if i % 4 == 0:
+            lines.append(f"link {r} {rsus[(i + 11) % 30]} latency={rng.randint(5, 12)}")
+    lines += ["link origin0 rsu0 latency=9", "link origin0 rsu12 latency=7",
+              "link origin1 rsu20 latency=8", "link origin1 rsu5 latency=10"]
+    where = {}
+    for v in vehicles:
+        where[v] = rng.choice(rsus)
+        lines.append(f"link {v} {where[v]} latency={rng.randint(1, 3)}")
+    lines += ["link veh7 rsu3 latency=2", "link veh8 veh9 latency=1"]
+    categories = ["public-traffic", "public-infotainment", "subscription-infotainment",
+                  "v2x-private"]
+    names = []
+    for k in range(40):
+        names.append(f"/item{k}")
+        lines.append(
+            f"content /item{k} origin=origin{k % 2} size={rng.randint(300, 1500)} "
+            f"category={categories[k % 4] if k % 7 else 'traffic-control'}"
+        )
+    lines.append("content /radio origin=origin0 size=600 category=public-infotainment default=1")
+    t = 0
+    movers = vehicles[10:]  # veh7, veh8 and veh9 keep their links
+    for q in range(400):
+        t += 1
+        v = rng.choice(vehicles)
+        name = rng.choice(names[: rng.choice((5, 15, 40))])
+        lines.append(f"request t={t} requester={v} name={name}")
+        k = int(name[5:])
+        if q % 20 == 10 and k % 4 != 3 and k % 7 and v in movers:
+            lines.append(f"tamper t={t} node={where[v]} name={name}")
+            lines.append(f"request t={t} requester={v} name={name}")
+        if q % 3 == 0:
+            m = rng.choice(movers)
+            new = rsus[(rsus.index(where[m]) + rng.choice((-2, -1, 1, 2))) % 30]
+            t += 1
+            lines.append(f"unlink t={t} a={m} b={where[m]}")
+            lines.append(f"relink t={t} a={m} b={new} latency={rng.randint(1, 3)}")
+            where[m] = new
+    lines.append(f"tamper t={t + 1} node=rsu4 name=/radio")
+    lines.append(f"request t={t + 2} requester={rsus[4]} name=/radio")
+    lines.append(f"relink t={t + 3} a=rsu1 b=rsu2 latency=20")
+    lines += [f"request t={t + 4} requester={v} name=/item1" for v in vehicles[:10]]
+    return "\n".join(lines) + "\n"
+
+
+# SHA-256 of the newline-joined event log of city_scenario(), computed with
+# the simulator that ran a fresh early-exit Dijkstra for every interest.
+CITY_LOG_SHA256 = "0a1a5b4c3fd13b4c16b5634cb56f9ee42a6b1cef2469f7bf10c23a8920783d52"
+
+
+def test_city_event_log_known_answer():
+    result = run_scenario(parse_scenario(city_scenario()))
+    kinds = {line.split()[0] for line in result.events}
+    for kind in ("preload", "evict", "tamper", "integrity", "drop", "relink", "unlink"):
+        assert f"ev={kind}" in kinds
+    digest = hashlib.sha256("\n".join(result.events).encode()).hexdigest()
+    assert digest == CITY_LOG_SHA256
+    assert metrics_from_events(result.events) == result.metrics
+
+
+def test_finished_simulation_holds_nothing():
+    sim = Simulation(parse_scenario(city_scenario()))
+    sim.submit_interest("veh12", "/item3")
+    assert sim._trees and sim.nodes and sim.adj
+    sim.run()
+    assert sim.config is None
+    assert not (sim.nodes or sim.adj or sim._trees or sim.contents or sim.directories)
+    assert not (sim._listed or sim._trusted or sim._holdings)
+
+
+def test_second_run_fails_closed():
+    request = "request t=1 requester=vehicle1 name=/media/clip.bin\n"
+    sim = Simulation(parse_scenario(line5(CONTENT + request)))
+    sim.run()
+    with pytest.raises(ScenarioError, match="^simulation already ran$"):
+        sim.run()
+    # A run that stops at a bad op is finished too.
+    sim = Simulation(parse_scenario(line5(CONTENT + "tamper t=1 node=rsu1 name=/media/clip.bin\n")))
+    with pytest.raises(ScenarioError, match="tamper"):
+        sim.run()
+    with pytest.raises(ScenarioError, match="^simulation already ran$"):
+        sim.run()

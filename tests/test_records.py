@@ -39,6 +39,7 @@ def samples() -> list:
     ledger.revoke(sub.pseudo_identity.display, (2022, 9, 2), (2022, 7, 5))
     config = ndnsim.parse_scenario(SCENARIO)
     sim = ndnsim.Simulation(config)
+    node, content = sim.nodes["rsu1"], sim.contents["clip"]  # run() drops both tables
     result = sim.run()
     return [
         pk.suite.counters.snapshot(),
@@ -71,8 +72,8 @@ def samples() -> list:
         config.schedule[0],
         config,
         ndnsim.CachedCopy(4000, pinned=True),
-        sim.nodes["rsu1"],
-        sim.contents["clip"],
+        node,
+        content,
         result.metrics.per_request[0],
         result.metrics,
         result,
