@@ -17,20 +17,24 @@ topology edits), so a run is a pure function of its config: identical
 seeds produce byte-identical event logs, and the metrics can be recomputed
 from the log alone.  A ``Simulation`` runs once: ``run()`` hands its event
 log and metric rows to the result it returns and drops everything else
-(topology, stores, contents, directories, trees), so a finished Simulation
-holds nothing and a second ``run()`` raises ``ScenarioError``.
+(topology, stores, contents, directories, trees and neighbour lists), so a
+finished Simulation holds nothing and a second ``run()`` raises
+``ScenarioError``.
 
 Only the standard library is used.  An interest is answered from the
 requester's shortest-path tree: one full ``heapq`` Dijkstra per source,
 cached until a topology edit could change it; equal-cost ties break as in
 networkx's ``single_source_dijkstra`` (the test suite checks this against
-networkx).  A *barren* node (no content's origin, capacity <= 0 and
-nothing preloaded) can never hold a copy.  One with at most one link, such
-as a vehicle hanging off a roadside unit, is left out of every tree, asks
-through its neighbour's tree, and may hand over (unlink, relink) without
-clearing the cache.  Content is drawn as random bytes to fix its digest,
-but copies keep only their size and whether they still match, so a
-delivery hashes nothing.
+networkx).  The Dijkstra runs on node indices, over one list of (neighbour
+index, latency) pairs per node; the lists are derived from the adjacency
+on the first tree, patched by an edit that keeps the trees and dropped
+with them by any other edit.  A *barren* node (no content's origin,
+capacity <= 0 and nothing preloaded) can never hold a copy.  One with at
+most one link, such as a vehicle hanging off a roadside unit, is left out
+of every tree and every neighbour list, asks through its neighbour's tree,
+and may hand over (unlink, relink) without clearing the cache.  Content is
+drawn as random bytes to fix its digest, but copies keep only their size
+and whether they still match, so a delivery hashes nothing.
 """
 
 import hashlib
@@ -214,7 +218,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     ``request t=N requester=ID name=NAME``,
     ``tamper t=N node=ID name=NAME``,
     ``relink t=N a=ID b=ID latency=N`` and ``unlink t=N a=ID b=ID``.
-    ``#`` starts a comment.
+    ``#`` starts a comment.  ``chunk-size`` must be at least 1 and
+    ``hop-budget`` at least 0.
     """
     seed, chunk_size, hop_budget = 0, DEFAULT_CHUNK_SIZE, DEFAULT_HOP_BUDGET
     nodes, links, contents, schedule = [], [], [], []
@@ -229,8 +234,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
             seed = _int_field({"seed": rest[0] if rest else ""}, "seed", line_no)
         elif directive == "chunk-size":
             chunk_size = _int_field({"v": rest[0] if rest else ""}, "v", line_no)
+            if chunk_size < 1:
+                raise ScenarioError(f"line {line_no}: chunk-size must be >= 1")
         elif directive == "hop-budget":
             hop_budget = _int_field({"v": rest[0] if rest else ""}, "v", line_no)
+            if hop_budget < 0:
+                raise ScenarioError(f"line {line_no}: hop-budget must be >= 0")
         elif directive == "node":
             if not rest:
                 raise ScenarioError(f"line {line_no}: node needs an id")
@@ -512,6 +521,7 @@ class Simulation:
         self._index = {node_id: i for i, node_id in enumerate(self._ids)}
         self._holdings = [node.store._items for node in self.nodes.values()]
         self._trees: dict[str, tuple] = {}
+        self._neighbours: list | None = None  # see _tree
 
     # ------------------------------------------------------------------
 
@@ -591,6 +601,16 @@ class Simulation:
         """A barren node with at most one link: no path passes through it."""
         return node_id in self._barren and len(self.adj[node_id]) <= 1
 
+    def _neighbours_of(self, node_id: str) -> list[tuple[int, int]]:
+        """The links of ``node_id`` as (neighbour index, latency) pairs in
+        adjacency order, leaving out self-loops and barren dead ends: no
+        shortest path passes through either."""
+        index = self._index
+        return [
+            (index[u], cost) for u, cost in self.adj[node_id].items()
+            if u != node_id and not self._dead_end(u)
+        ]
+
     def _tree(self, source: str) -> tuple:
         """The shortest-path tree from ``source`` as (settle order, distance,
         parent position): node indices in the order a full Dijkstra settles
@@ -600,34 +620,44 @@ class Simulation:
         in networkx's ``single_source_dijkstra``.  Barren dead ends other
         than the source are never pushed: settling one relaxes nothing, and
         the push counter only orders pushes, so the rest of the tree is the
-        same.  Trees of barren sources are not cached, since such a node's
-        own links change in edits that keep the cache."""
+        same.
+
+        The search runs on node indices.  ``_neighbours`` holds one
+        ``_neighbours_of`` list per node; it is derived from ``adj`` on the
+        first tree, patched by ``_edited`` when an edit keeps the trees,
+        dropped with them otherwise and released by ``run()``, so it always
+        matches ``adj``.  Trees of barren sources are not cached, since such
+        a node's own links change in edits that keep the cache."""
         tree = self._trees.get(source)
         if tree is not None:
             return tree
         from array import array  # only routing needs it
 
-        adj, index, barren = self.adj, self._index, self._barren
+        links = self._neighbours
+        if links is None:
+            links = self._neighbours = [self._neighbours_of(v) for v in self._ids]
         order, dists, parents = array("i"), [], array("i")
-        position: dict[str, int] = {}
-        best = {source: 0}
-        # Heap entries carry the parent's position: a node's first entry off
-        # the heap is its last push, made on its shortest distance.
-        heap = [(0, 0, source, -1)]
-        pushes = 1
+        # Heap entries carry the parent's position.  With latencies >= 0 a
+        # settled node's best distance is at most any later one, so it is
+        # never pushed again, and an entry off the heap is stale exactly when
+        # a shorter one was pushed after it.
+        best: list = [None] * len(links)
+        s = self._index[source]
+        best[s] = 0
+        heap = [(0, 0, s, -1)]
+        pushes, here = 1, -1
         while heap:
             d, _, v, up = heappop(heap)
-            if v in position:
+            if d > best[v]:
                 continue
-            here = position[v] = len(order)
-            order.append(index[v])
+            here += 1
+            order.append(v)
             dists.append(d)
             parents.append(up)
-            for u, cost in adj[v].items():
-                if u in position or (u in barren and len(adj[u]) <= 1):
-                    continue
+            for u, cost in links[v]:
                 du = d + cost
-                if u not in best or du < best[u]:
+                b = best[u]
+                if b is None or du < b:
                     best[u] = du
                     heappush(heap, (du, pushes, u, here))
                     pushes += 1
@@ -646,8 +676,9 @@ class Simulation:
         every store with a copy.  Among holders at the same smallest latency
         the smallest node id wins, and the path is the one networkx's
         ``single_source_dijkstra`` gives.  The answer is read off the
-        requester's cached shortest-path tree (see ``_tree``); a barren dead
-        end with one neighbour reads its neighbour's tree, one link further."""
+        requester's cached shortest-path tree, which ``_tree`` builds on
+        node indices over the per-node neighbour lists; a barren dead end
+        with one neighbour reads its neighbour's tree, one link further."""
         links = self.adj[requester]
         source, hop = requester, 0
         if self._dead_end(requester) and requester not in links and links:
@@ -795,8 +826,14 @@ class Simulation:
         node.store.replace(name, corrupted)
         self._log(f"ev=tamper t={op.time} node={node_id} name={name}")
 
-    def _apply_relink(self, op: ScheduledOp) -> None:
+    def _known_ends(self, op: ScheduledOp) -> tuple[str, str]:
         a, b = op.params.get("a", ""), op.params.get("b", "")
+        for end in (a, b):
+            if end not in self.nodes:
+                raise ScenarioError(f"{op.kind} references unknown node {end!r}")
+        return a, b
+
+    def _apply_relink(self, op: ScheduledOp) -> None:
         raw = op.params.get("latency", str(DEFAULT_LATENCY_MS))
         try:
             latency = int(raw)
@@ -804,18 +841,16 @@ class Simulation:
             raise ScenarioError(f"relink t={op.time}: bad integer for latency: {raw!r}") from None
         if latency < 0:
             raise ScenarioError(f"relink t={op.time}: latency must be >= 0")
-        for end in (a, b):
-            if end not in self.nodes:
-                raise ScenarioError(f"relink references unknown node {end!r}")
+        a, b = self._known_ends(op)
         dead_ends = self._dead_ends(a, b)
         self._link(a, b, latency)
         self._edited(a, b, dead_ends)
         self._log(f"ev=relink t={op.time} a={a} b={b} latency={latency}")
 
     def _apply_unlink(self, op: ScheduledOp) -> None:
-        a, b = op.params.get("a", ""), op.params.get("b", "")
+        a, b = self._known_ends(op)
         dead_ends = self._dead_ends(a, b)
-        if b in self.adj.get(a, ()):
+        if b in self.adj[a]:
             del self.adj[a][b]
             self.adj[b].pop(a, None)  # absent for a self-loop
         self._edited(a, b, dead_ends)
@@ -829,9 +864,24 @@ class Simulation:
         end is a barren dead end both before and after it.  No tree holds
         that end.  The other end gains or loses only that neighbour; if it is
         barren it may join or leave trees, but as a leaf that holds nothing,
-        and its own tree is never cached."""
+        and its own tree is never cached.
+
+        The neighbour lists are kept exact: the edit changes the lists of
+        both ends, and an end that starts or stops being a dead end changes
+        the lists of its neighbours too."""
         if not dead_ends & self._dead_ends(a, b):
             self._trees.clear()
+            self._neighbours = None
+            return
+        links = self._neighbours
+        if links is None:
+            return
+        stale = {a, b}
+        for end in (a, b):
+            if (end in dead_ends) != self._dead_end(end):
+                stale.update(self.adj[end])
+        for node_id in stale:
+            links[self._index[node_id]] = self._neighbours_of(node_id)
 
     def run(self) -> SimulationResult:
         if self.config is None:
@@ -861,7 +911,7 @@ class Simulation:
         self.events, self._metrics_rows = [], []
         self.nodes, self.adj, self.contents, self.directories = {}, {}, {}, {}
         self._listed, self._trusted, self._trees, self._index = {}, {}, {}, {}
-        self._barren, self._ids, self._holdings = frozenset(), (), []
+        self._barren, self._ids, self._holdings, self._neighbours = frozenset(), (), [], None
 
 
 def run_scenario(config: ScenarioConfig) -> SimulationResult:

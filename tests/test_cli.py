@@ -886,6 +886,14 @@ def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
 
 _NESTED = "(" * 1200 + "gold" + ")" * 1200
 
+# Scenarios with a setting out of range or an edit of an unknown node.
+_BAD_SCENARIOS = {
+    "zero_chunk": "chunk-size 0\n" + _SCENARIO,
+    "negative_chunk": "chunk-size -5\n" + _SCENARIO,
+    "negative_budget": "hop-budget -1\n" + _SCENARIO,
+    "ghost_unlink": _SCENARIO + "unlink t=2 a=ghost b=rsu1\n",
+}
+
 
 @pytest.mark.parametrize(
     ("argv", "code", "stderr"),
@@ -915,10 +923,15 @@ _NESTED = "(" * 1200 + "gold" + ")" * 1200
          "error: bad time node '2022-07\\n'"),
         (["check", "--ledger", "{ledger}", "--pid", "pid:e5", "--now", "0000-13-99"], 1,
          "error: year must be positive, got 0"),
+        (["sim", "run", "{zero_chunk}"], 1, "error: line 1: chunk-size must be >= 1"),
+        (["sim", "run", "{negative_chunk}"], 1, "error: line 1: chunk-size must be >= 1"),
+        (["sim", "run", "{negative_budget}"], 1, "error: line 1: hop-budget must be >= 0"),
+        (["sim", "run", "{ghost_unlink}"], 1, "error: unlink references unknown node 'ghost'"),
     ],
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
-         "retired-key", "newline-node", "invalid-now"],
+         "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
+         "negative-hop-budget", "unlink-unknown-node"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
@@ -950,6 +963,9 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
     paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
                  edited_ledger=tmp_path / "edited.jsonl", nested_sk=tmp_path / "nested-sk.bin",
                  retired_sk=tmp_path / "retired-sk.bin", newline_sk=tmp_path / "newline-sk.bin")
+    for name, text in _BAD_SCENARIOS.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
     proc = subprocess.run(
         [sys.executable, "-m", "tskpabe.cli", *(a.format(**paths) for a in argv)],
         env=_fresh_env(), capture_output=True, text=True, timeout=60,

@@ -140,6 +140,20 @@ def test_latency_sums_link_weights():
     assert only.latency_ms == 30
 
 
+@pytest.mark.parametrize("big", [2**31, 2**32 + 5, 2**62, 2**63, 2**64 + 7])
+def test_latency_sums_past_32_and_64_bits(big):
+    """Tree distances are stored in 64 bits, or as Python ints past that;
+    each latency must still be the exact sum."""
+    text = FIVE_NODE_LINE.replace("link rsu1 rsu2 latency=10", f"link rsu1 rsu2 latency={big}")
+    text += "content /p origin=origin size=10 category=v2x-private\n"  # never cached
+    text += "".join(
+        f"request t={t} requester={node} name=/p\n"
+        for t, node in enumerate(("vehicle1", "rsu2", "rsu1"), start=1)
+    )
+    rows = run_scenario(parse_scenario(text)).metrics.per_request
+    assert [m.latency_ms for m in rows] == [big + 30, big + 10, 10]
+
+
 def test_authenticated_channel_content_never_cached():
     config = parse_scenario(
         line5(
@@ -284,6 +298,26 @@ def test_relink_latency_validated(latency, reason):
     text = line5(CONTENT + f"relink t=1 a=vehicle1 b=origin latency={latency}\n")
     with pytest.raises(ScenarioError, match=f"^relink t=1: .*{reason}"):
         run_scenario(parse_scenario(text))
+
+
+@pytest.mark.parametrize("kind", ["unlink", "relink"])
+@pytest.mark.parametrize(("a", "b"), [("ghost", "rsu1"), ("rsu1", "ghost")])
+def test_edits_reject_unknown_nodes(kind, a, b):
+    text = line5(CONTENT + f"{kind} t=1 a={a} b={b} latency=5\n")
+    with pytest.raises(ScenarioError, match=f"^{kind} references unknown node 'ghost'$"):
+        run_scenario(parse_scenario(text))
+
+
+@pytest.mark.parametrize(
+    ("line", "reason"),
+    [("chunk-size 0", "chunk-size must be >= 1"), ("chunk-size -5", "chunk-size must be >= 1"),
+     ("hop-budget -1", "hop-budget must be >= 0")],
+)
+def test_chunk_size_and_hop_budget_bounds(line, reason):
+    with pytest.raises(ScenarioError, match=f"^line 3: {reason}$"):
+        parse_scenario(f"seed 1\n\n{line}\n")
+    config = parse_scenario("chunk-size 1\nhop-budget 0\n")
+    assert (config.chunk_size, config.hop_budget) == (1, 0)
 
 
 def test_replay_matches_run():
@@ -623,11 +657,14 @@ def test_router_matches_networkx_dijkstra():
     assert checked > 500
 
 
-def _vehicle_topology(rng: Random) -> str:
+def _vehicle_topology(rng: Random, chains: bool = False) -> str:
     """Roadside units and servers in a connected core, vehicles hanging off
     it (most with no store, some with two links or a link to another
     vehicle), sometimes empty default content that every unit and vehicle
-    holds, then handovers and random edits."""
+    holds, then handovers and random edits.  With ``chains`` every edit is
+    a handover: a vehicle drops all its links and relinks to a unit or to
+    another vehicle, so chains of vehicles grow through edits that keep
+    the cached trees."""
     rsus = [f"r{i}" for i in range(rng.randint(1, 6))]
     vehicles = [f"v{i}" for i in range(rng.randint(1, 6))]
     core = ["origin", "spare"] + rsus
@@ -650,8 +687,17 @@ def _vehicle_topology(rng: Random) -> str:
     default = rng.choice((0, 1))
     lines.append(f"content /z origin=origin size=0 category=public-traffic default={default}")
     nodes = core + vehicles
+    edges = {tuple(sorted(link)) for link in links}
     for t in range(1, rng.randint(2, 12)):
         v = rng.choice(vehicles)
+        if chains:
+            for edge in sorted(e for e in edges if v in e):
+                lines.append(f"unlink t={t} a={edge[0]} b={edge[1]}")
+                edges.discard(edge)
+            w = rng.choice([n for n in nodes if n != v])
+            lines.append(f"relink t={t} a={v} b={w} latency={rng.choice(latency)}")
+            edges.add(tuple(sorted((v, w))))
+            continue
         if rng.random() < 0.6:
             a, b = v, rng.choice(nodes)
         else:
@@ -685,6 +731,57 @@ def test_router_matches_networkx_with_vehicles():
             _apply_edit(sim, graph, op)
             checked += _check_router(nx, sim, graph, ["/x", "/z"], rng)
     assert checked > 5000
+
+
+def test_router_matches_networkx_with_vehicle_chains():
+    """Vehicles without a store hand over onto one another, so a dead end
+    becomes a relay inside a chain through edits that keep the cached
+    trees.  After every edit the per-node neighbour lists match ``adj`` and
+    the router answers as networkx does."""
+    nx = pytest.importorskip("networkx")
+    rng = Random(16)
+    checked = 0
+    for _ in range(300):
+        config = parse_scenario(_vehicle_topology(rng, chains=True))
+        sim = Simulation(config)
+        graph = _graph(nx, config)
+        checked += _check_router(nx, sim, graph, ["/x", "/z"], rng)
+        for op in config.schedule:
+            _apply_edit(sim, graph, op)
+            lists = sim._neighbours
+            assert lists is None or lists == [sim._neighbours_of(v) for v in sim._ids]
+            checked += _check_router(nx, sim, graph, ["/x", "/z"], rng)
+    assert checked > 5000
+
+
+def test_relay_chain_grown_by_handovers_routes_over_current_links():
+    """Three vehicles without a store hand over until veh3 hangs off veh2,
+    which hangs off veh1 on rsu1; every edit keeps the cached trees.  veh1
+    left rsu2 at t=2, so veh3's route runs over rsu1, not the old link."""
+    text = (
+        "node origin kind=third-party-server capacity=0\n"
+        "node rsu1 kind=rsu capacity=0\n"
+        "node rsu2 kind=rsu capacity=0\n"
+        "node veh1 kind=vehicle capacity=0\n"
+        "node veh2 kind=vehicle capacity=0\n"
+        "node veh3 kind=vehicle capacity=0\n"
+        "link origin rsu1 latency=1\n"
+        "link origin rsu2 latency=5\n"
+        "link veh1 rsu2 latency=1\n"
+        "link veh2 rsu1 latency=1\n"
+        "link veh3 rsu1 latency=1\n"
+        "content /c origin=origin size=10 category=v2x-private\n"
+        "request t=1 requester=veh1 name=/c\n"
+        "unlink t=2 a=veh1 b=rsu2\n"
+        "relink t=3 a=veh1 b=rsu1 latency=1\n"
+        "unlink t=4 a=veh2 b=rsu1\n"
+        "relink t=5 a=veh2 b=veh1 latency=1\n"
+        "unlink t=6 a=veh3 b=rsu1\n"
+        "relink t=7 a=veh3 b=veh2 latency=1\n"
+        "request t=8 requester=veh3 name=/c\n"
+    )
+    rows = run_scenario(parse_scenario(text)).metrics.per_request
+    assert [(m.hops, m.latency_ms) for m in rows] == [(2, 6), (4, 4)]
 
 
 def test_moving_transit_vehicle_routes_from_its_new_links():
@@ -797,9 +894,9 @@ def test_city_event_log_known_answer():
 def test_finished_simulation_holds_nothing():
     sim = Simulation(parse_scenario(city_scenario()))
     sim.submit_interest("veh12", "/item3")
-    assert sim._trees and sim.nodes and sim.adj
+    assert sim._trees and sim._neighbours and sim.nodes and sim.adj
     sim.run()
-    assert sim.config is None
+    assert sim.config is None and sim._neighbours is None
     assert not (sim.nodes or sim.adj or sim._trees or sim.contents or sim.directories)
     assert not (sim._listed or sim._trusted or sim._holdings)
 
