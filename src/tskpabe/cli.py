@@ -420,7 +420,7 @@ def _cmd_sim_replay(args) -> int:
     from .ndnsim import metrics_from_events
 
     with open(args.events, encoding="utf-8") as fh:
-        events = [line.rstrip("\n") for line in fh if line.strip()]
+        events = fh.read().split("\n")
     metrics = metrics_from_events(events)
     for line in metrics.summary_lines():
         print(line)
@@ -550,7 +550,7 @@ def build_parser() -> _Parser:
     suite_mode(p)
     p.add_argument("--U", type=int, required=True, help="attribute universe size")
     p.add_argument("--depth", type=int)
-    p.add_argument("--l", type=int, required=True, help="policy matrix rows")
+    p.add_argument("--l", type=int, required=True, help="policy leaves (LSSS rows)")
     p.add_argument("--tk", type=int, required=True, help="key cover size")
     p.add_argument("--tc", type=int, required=True, help="ciphertext cover size")
     p.add_argument("--json", action="store_true")

@@ -1,18 +1,21 @@
-"""Monotone AND/OR policies compiled to a linear secret-sharing structure.
+"""Monotone AND/OR policies as linear secret-sharing schemes over Z_p.
 
-The compiler uses the standard vector-labeling construction: the root
-carries the label (1); an AND gate pads its label v to the current width
-and hands (v, 1) to the left child and (0, ..., 0, -1) to the right child,
-growing the width by one; an OR gate copies its label to both children.
-Leaves become matrix rows in left-to-right order, so the matrix has one
-row per leaf and one column per AND gate plus one.
+A policy has one row per leaf, left to right.  Sharing a secret w walks
+the formula top-down: the root carries w, an OR gate hands its value to
+both children, and the k-th AND gate in preorder draws y_k and hands
+value + y_k to its left child and -y_k to its right.  Leaf i's value is
+its share lambda_i = v . M_i, with v = (w, y_1, ..., y_n) and M the
+standard vector-labelling matrix: the root's label is (1), an OR gate
+copies its label to both children, and the k-th AND gate hands (label, 1
+in column k) left and (-1 in column k) right.  The walk draws y_k when it
+enters that gate, in preorder, so the draws come in column order and the
+shares equal the matrix sharing's under the same rng; M is never built.
 
-Sharing a secret w draws a masking vector (w, y2, ..., yn) and gives row i
-the share lambda_i = v . M_i.  To reconstruct, pick a satisfying subtree
-(both children of an AND gate, one satisfied child of an OR gate).  Under
-this labeling its rows sum to the root label (1, 0, ..., 0), as Lewko and
-Waters observe ("Decentralizing Attribute-Based Encryption", Eurocrypt
-2011, appendix G), so omega_i = 1 on those rows and 0 elsewhere gives
+To reconstruct, pick a satisfying subtree (both children of an AND gate,
+one satisfied child of an OR gate).  Under this labelling its rows sum to
+the root label (1, 0, ..., 0), as Lewko and Waters observe
+("Decentralizing Attribute-Based Encryption", Eurocrypt 2011, appendix
+G), so omega_i = 1 on those rows and 0 elsewhere gives
 sum(omega_i * lambda_i) = w.  A set that fails the formula has no such
 subtree, and no coefficients exist.
 
@@ -147,36 +150,20 @@ def policy_text(node: "Leaf | Gate") -> str:
 
 
 class AccessStructure(Record):
-    """Share-generating matrix with its row-to-attribute map, entries mod p,
-    and the formula it was compiled from (row i is its i-th leaf)."""
+    """A formula with its row-to-attribute map (row i is its i-th leaf)
+    and the modulus its shares live in."""
 
-    matrix: tuple[tuple[int, ...], ...]
     row_attributes: tuple[str, ...]
     modulus: int
     policy: "Leaf | Gate"
 
     @property
     def rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def columns(self) -> int:
-        return len(self.matrix[0])
+        return len(self.row_attributes)
 
     def rows_for(self, attributes) -> list[int]:
         attributes = set(attributes)
         return [i for i, a in enumerate(self.row_attributes) if a in attributes]
-
-
-class ShareSet(Record):
-    """A masking vector and the per-row shares it induces."""
-
-    vector: tuple[int, ...]
-    shares: tuple[int, ...]
-
-    @property
-    def secret(self) -> int:
-        return self.vector[0]
 
 
 def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure:
@@ -186,61 +173,42 @@ def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure
     is one that ``policy_text`` writes and ``parse_policy`` reads back.
     """
     node = parse_policy(policy if isinstance(policy, str) else policy_text(policy))
-    rows: list[tuple[list[int], str]] = []
-    width = 1
+    leaves: list[str] = []
 
-    def assign(n, label: list[int], depth: int):
-        nonlocal width
+    def collect(n, depth: int):
         if depth > MAX_DEPTH:
             raise PolicyError(f"policy nests deeper than {MAX_DEPTH} levels")
         if isinstance(n, Leaf):
-            if len(rows) == MAX_LEAVES:
+            if len(leaves) == MAX_LEAVES:
                 raise PolicyError(f"policy has more than {MAX_LEAVES} leaves")
-            rows.append((label, n.attribute))
+            leaves.append(n.attribute)
             return
-        if n.op == "OR":
-            assign(n.left, list(label), depth + 1)
-            assign(n.right, list(label), depth + 1)
-            return
-        padded = label + [0] * (width - len(label))
-        left_label = padded + [1]
-        right_label = [0] * width + [-1]
-        width += 1
-        assign(n.left, left_label, depth + 1)
-        assign(n.right, right_label, depth + 1)
+        collect(n.left, depth + 1)
+        collect(n.right, depth + 1)
 
-    assign(node, [1], 0)
-    matrix = tuple(
-        tuple(v % modulus for v in label + [0] * (width - len(label)))
-        for label, _ in rows
-    )
-    return AccessStructure(matrix, tuple(attr for _, attr in rows), modulus, node)
+    collect(node, 0)
+    return AccessStructure(tuple(leaves), modulus, node)
 
 
-def share(
-    structure: AccessStructure,
-    secret: Scalar | int,
-    rng: Random | None = None,
-    tail: tuple[int, ...] | None = None,
-) -> ShareSet:
-    """Share a secret: vector (w, y2, ..., yn), share_i = vector . row_i.
-
-    The tail (y2, ..., yn) is drawn from ``rng`` unless given explicitly.
-    """
+def share(structure: AccessStructure, secret: Scalar | int, rng: Random) -> tuple[int, ...]:
+    """The shares lambda_i of a secret, one per row, by the tree walk of
+    the module docstring."""
     p = structure.modulus
-    w = int(secret) % p
-    n = structure.columns
-    if tail is None:
-        if rng is None and n > 1:
-            raise ValueError("need rng or an explicit tail")
-        tail = tuple(rng.randrange(p) for _ in range(n - 1)) if n > 1 else ()
-    if len(tail) != n - 1:
-        raise ValueError(f"tail must have {n - 1} entries")
-    vector = (w,) + tuple(t % p for t in tail)
-    shares = tuple(
-        sum(v * m for v, m in zip(vector, row)) % p for row in structure.matrix
-    )
-    return ShareSet(vector, shares)
+    shares: list[int] = []
+
+    def walk(n, value: int):
+        if isinstance(n, Leaf):
+            shares.append(value % p)
+        elif n.op == "OR":
+            walk(n.left, value)
+            walk(n.right, value)
+        else:
+            y = rng.randrange(p)
+            walk(n.left, value + y)
+            walk(n.right, -y)
+
+    walk(structure.policy, int(secret) % p)
+    return tuple(shares)
 
 
 def reconstruct_coeffs(

@@ -919,38 +919,50 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
 
 
 def _parse_fields(line: str) -> dict[str, str]:
-    return dict(part.split("=", 1) for part in line.split())
+    fields = {}
+    for token in line.split():
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ValueError(f"token {token!r} has no '='")
+        fields[key] = value
+    return fields
 
 
 def metrics_from_events(events) -> Metrics:
-    """Recompute the metrics from an event log alone."""
+    """Recompute the metrics from an event log alone; a malformed line
+    raises ScenarioError naming it."""
     rows = []
     integrity = 0
-    for line in events:
-        fields = _parse_fields(line)
-        ev = fields.get("ev")
-        if ev == "integrity":
-            integrity += 1
-        elif ev == "served":
-            rows.append(
-                RequestMetric(
-                    seq=int(fields["seq"]),
-                    time=int(fields["t"]),
-                    requester=fields["requester"],
-                    name=fields["name"],
-                    outcome="served",
-                    hops=int(fields["hops"]),
-                    latency_ms=int(fields["latency"]),
-                    served_from=fields["from"],
-                    served_from_kind=fields["kind"],
-                    cache_hit=bool(int(fields["hit"])),
-                    integrity_retries=int(fields["retries"]),
+    for number, line in enumerate(events, start=1):
+        try:
+            fields = _parse_fields(line)
+            ev = fields.get("ev")
+            if ev == "integrity":
+                integrity += 1
+            elif ev == "served":
+                rows.append(
+                    RequestMetric(
+                        seq=int(fields["seq"]),
+                        time=int(fields["t"]),
+                        requester=fields["requester"],
+                        name=fields["name"],
+                        outcome="served",
+                        hops=int(fields["hops"]),
+                        latency_ms=int(fields["latency"]),
+                        served_from=fields["from"],
+                        served_from_kind=fields["kind"],
+                        cache_hit=bool(int(fields["hit"])),
+                        integrity_retries=int(fields["retries"]),
+                    )
                 )
-            )
-        elif ev == "notfound":
-            rows.append(
-                RequestMetric.not_found(
-                    int(fields["seq"]), int(fields["t"]), fields["requester"], fields["name"]
+            elif ev == "notfound":
+                rows.append(
+                    RequestMetric.not_found(
+                        int(fields["seq"]), int(fields["t"]), fields["requester"], fields["name"]
+                    )
                 )
-            )
+        except KeyError as exc:
+            raise ScenarioError(f"event line {number}: no field {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ScenarioError(f"event line {number}: {exc}") from None
     return Metrics.from_rows(sorted(rows, key=lambda m: m.seq), integrity)

@@ -152,6 +152,13 @@ def _normalize_universe(universe) -> tuple[str, ...]:
         raise ValueError("universe must not be empty")
     if len(set(labels)) != len(labels):
         raise ValueError("universe labels must be distinct")
+    for label in labels:
+        try:
+            named = lsss.parse_policy(label) == lsss.Leaf(label)
+        except lsss.PolicyError:
+            named = False
+        if not named:
+            raise ValueError(f"universe label {label!r} is not an attribute a policy can name")
     return labels
 
 
@@ -229,10 +236,9 @@ class TimedKpAbe:
             pk.h_beta_for(attribute)  # unknown labels fail here
         suite = self.suite
         g = pk.g
-        # Masking vector (w, y2, ..., yn); w is the shared exponent.
+        # w is the shared exponent, split into one share per policy row.
         w = suite.random_scalar(rng)
-        share_set = lsss.share(access, int(w), rng=rng)
-        lam = [suite.scalar(s) for s in share_set.shares]
+        lam = [suite.scalar(s) for s in lsss.share(access, int(w), rng=rng)]
         rows = []
         for i, attribute in enumerate(access.row_attributes):
             d_i = g ** (mk.beta * lam[i])

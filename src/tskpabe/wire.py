@@ -8,23 +8,26 @@ import struct
 
 
 class WireError(ValueError):
-    """Malformed or truncated binary input."""
+    """Malformed or truncated binary input, or, when writing, a value that
+    does not fit its fixed-width field."""
 
 
-def pack_u8(value: int) -> bytes:
-    return struct.pack(">B", value)
+def _packer(fmt: str, bits: int):
+    pack = struct.Struct(fmt).pack
+
+    def packer(value: int) -> bytes:
+        try:
+            return pack(value)
+        except struct.error:
+            raise WireError(f"value {value!r} does not fit an unsigned {bits}-bit field") from None
+
+    return packer
 
 
-def pack_u16(value: int) -> bytes:
-    return struct.pack(">H", value)
-
-
-def pack_u32(value: int) -> bytes:
-    return struct.pack(">I", value)
-
-
-def pack_u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+pack_u8 = _packer(">B", 8)
+pack_u16 = _packer(">H", 16)
+pack_u32 = _packer(">I", 32)
+pack_u64 = _packer(">Q", 64)
 
 
 def pack_bytes(data: bytes) -> bytes:

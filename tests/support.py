@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the production code paths they check:
 the cover-size oracle is a dynamic program over day positions, the day
-arithmetic comes from ``datetime`` and ``calendar``, and the formula
-helpers work on the parsed tree only.
+arithmetic comes from ``datetime`` and ``calendar``, the formula helpers
+work on the parsed tree only, and the share matrix is the vector-labelling
+construction that ``lsss.share``'s tree walk stands in for.
 """
 
 import datetime
@@ -63,6 +64,31 @@ def random_formula(rng: Random, attributes, max_leaves: int = 6):
         i = rng.randrange(len(leaves) - 1)
         leaves[i] = Gate(rng.choice(["AND", "OR"]), leaves[i], leaves.pop(i + 1))
     return leaves[0]
+
+
+def share_matrix(node, modulus: int) -> list[list[int]]:
+    """Vector-labelling share matrix of a formula, one row per leaf from
+    left to right: the root carries (1), an OR gate copies its label to
+    both children, and the k-th AND gate in preorder hands (label, 1 in
+    column k) to its left child and (-1 in column k) to its right."""
+    labels = []
+    width = 1
+
+    def assign(n, label):
+        nonlocal width
+        if isinstance(n, Leaf):
+            labels.append(label)
+        elif n.op == "OR":
+            assign(n.left, label)
+            assign(n.right, label)
+        else:
+            column = width
+            width += 1
+            assign(n.left, label + [0] * (column - len(label)) + [1])
+            assign(n.right, [0] * column + [-1])
+
+    assign(node, [1])
+    return [[v % modulus for v in label + [0] * (width - len(label))] for label in labels]
 
 
 def satisfying_set(node, rng: Random) -> set[str]:

@@ -229,9 +229,9 @@ def test_criterion_6_lsss_soundness():
             if coeffs is not None:
                 satisfied += 1
                 for _ in range(10):
-                    shares = share(access, rng.randrange(P), rng=rng)
-                    total = sum(coeffs[i] * shares.shares[i] for i in coeffs) % P
-                    assert total == shares.secret
+                    secret = rng.randrange(P)
+                    shares = share(access, secret, rng=rng)
+                    assert sum(coeffs[i] * shares[i] for i in coeffs) % P == secret
         assert satisfied > 0
 
 

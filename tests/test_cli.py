@@ -886,12 +886,14 @@ def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
 
 _NESTED = "(" * 1200 + "gold" + ")" * 1200
 
-# Scenarios with a setting out of range or an edit of an unknown node.
+# Scenarios with a setting out of range or an edit of an unknown node, and
+# an event log whose served line lacks its other fields.
 _BAD_SCENARIOS = {
     "zero_chunk": "chunk-size 0\n" + _SCENARIO,
     "negative_chunk": "chunk-size -5\n" + _SCENARIO,
     "negative_budget": "hop-budget -1\n" + _SCENARIO,
     "ghost_unlink": _SCENARIO + "unlink t=2 a=ghost b=rsu1\n",
+    "short_log": "ev=served seq=1\n",
 }
 
 
@@ -927,11 +929,24 @@ _BAD_SCENARIOS = {
         (["sim", "run", "{negative_chunk}"], 1, "error: line 1: chunk-size must be >= 1"),
         (["sim", "run", "{negative_budget}"], 1, "error: line 1: hop-budget must be >= 0"),
         (["sim", "run", "{ghost_unlink}"], 1, "error: unlink references unknown node 'ghost'"),
+        (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
+        (["setup", "--depth", "300", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
+         "error: value 300 does not fit an unsigned 8-bit field"),
+        (["setup", "--universe-size", "70000", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
+         "error: value 70000 does not fit an unsigned 16-bit field"),
+        (["seal", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--in", "{content}",
+          "--out", "{out}", "--chunk-size", "5000000000"], 1,
+         "error: value 5000000000 does not fit an unsigned 32-bit field"),
+        (["dir-build", "--issuer", "rsu1", "--secret", "ab" * 16, "--timestamp", "-1",
+          "--out", "{out}", "{content}"], 1, "error: value -1 does not fit an unsigned 64-bit"),
+        (["setup", "--attrs", "gold,,family", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
+         "error: universe label '' is not an attribute a policy can name"),
     ],
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
-         "negative-hop-budget", "unlink-unknown-node"],
+         "negative-hop-budget", "unlink-unknown-node", "malformed-event-log", "wide-depth",
+         "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
@@ -962,7 +977,8 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
     )
     paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
                  edited_ledger=tmp_path / "edited.jsonl", nested_sk=tmp_path / "nested-sk.bin",
-                 retired_sk=tmp_path / "retired-sk.bin", newline_sk=tmp_path / "newline-sk.bin")
+                 retired_sk=tmp_path / "retired-sk.bin", newline_sk=tmp_path / "newline-sk.bin",
+                 out=tmp_path / "out.bin")
     for name, text in _BAD_SCENARIOS.items():
         paths[name] = tmp_path / f"{name}.txt"
         paths[name].write_text(text)

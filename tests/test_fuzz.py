@@ -10,8 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tskpabe.cli import main
+from tskpabe.ndnsim import FIVE_NODE_LINE
 
 SECRET = "ab" * 16
+# A copy tampered at rsu3 makes the second request retry at rsu2, and the
+# third request names nothing, so the log holds every event kind replay reads.
+SCENARIO = FIVE_NODE_LINE + (
+    "content clip origin=origin size=4000 category=subscription-infotainment\n"
+    "request t=1 requester=vehicle1 name=clip\n"
+    "tamper t=2 node=rsu3 name=clip\n"
+    "request t=3 requester=vehicle1 name=clip\n"
+    "request t=4 requester=vehicle1 name=nothere\n"
+)
 
 
 def build_cases(d):
@@ -19,9 +29,10 @@ def build_cases(d):
     the files' bytes and (file name, argv reading it from ``{}``) cases."""
     p = {name: str(d / name) for name in (
         "pk.bin", "mk.bin", "sk.bin", "ct.bin", "clip.bin", "clip.pkg", "dir.bin",
-        "ledger.jsonl", "out.bin",
+        "ledger.jsonl", "scenario.txt", "events.log", "out.bin",
     )}
     (d / "clip.bin").write_bytes(bytes(range(256)) * 9)
+    (d / "scenario.txt").write_text(SCENARIO)
     revoke = ["revoke", "--ledger", p["ledger.jsonl"], "--now", "2022-07-05", "--pid"]
     script = [
         ["setup", "--attrs", "gold,family,kids", "--seed", "5",
@@ -39,10 +50,12 @@ def build_cases(d):
         revoke + ["pid:b2", "--expiry", "2022-09-02"],
         ["prune", "--ledger", p["ledger.jsonl"], "--now", "2022-07-05"],
         revoke + ["pid:c3", "--expiry", "2022-09-30"],
+        ["sim", "run", p["scenario.txt"], "--events", p["events.log"]],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         assert [main(argv) for argv in script] == [0] * len(script)
-    files = {name: (d / name).read_bytes() for name in p if name != "out.bin"}
+    assert "ev=integrity" in (d / "events.log").read_text()
+    files = {name: (d / name).read_bytes() for name in p if name not in ("scenario.txt", "out.bin")}
     cases = [
         ("pk.bin", ["encrypt", "--pk", "{}", "--attrs", "gold", "--nodes", "2022-08",
                     "--out", p["out.bin"]]),
@@ -58,6 +71,7 @@ def build_cases(d):
         ("ledger.jsonl", ["revoke", "--ledger", "{}", "--pid", "pid:d4",
                           "--expiry", "2022-12-31", "--now", "2022-07-06"]),
         ("ledger.jsonl", ["prune", "--ledger", "{}", "--now", "2022-09-10"]),
+        ("events.log", ["sim", "replay", "{}"]),
     ]
     return files, cases
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import random_formula, satisfying_set, violating_set
+from support import ScriptedRng, random_formula, satisfying_set, share_matrix, violating_set
 from tskpabe.lsss import (
     MAX_DEPTH,
     Gate,
@@ -44,19 +44,19 @@ def test_parse_errors():
 
 def test_compile_and_gate():
     access = compile_policy("A AND B", P)
-    assert access.matrix == ((1, 1), (0, P - 1))
-    assert access.row_attributes == ("A", "B")
+    assert access.row_attributes == ("A", "B") and access.rows == 2
+    assert access.policy == Gate("AND", Leaf("A"), Leaf("B"))
 
 
 def test_compile_or_gate():
-    access = compile_policy("A OR B", P)
-    assert access.matrix == ((1,), (1,))
+    access = compile_policy("A OR B OR A", P)
+    assert access.row_attributes == ("A", "B", "A")
+    assert access.rows_for({"A"}) == [0, 2]
 
 
 def test_compile_single_leaf():
     access = compile_policy("A", P)
-    assert access.matrix == ((1,),)
-    assert access.row_attributes == ("A",)
+    assert access.row_attributes == ("A",) and access.rows == 1
 
 
 def test_compile_deterministic():
@@ -66,23 +66,21 @@ def test_compile_deterministic():
 
 
 def test_share_hand_example():
-    # vector (7, 3): shares are 7 + 3 = 10 and -3 mod 101 = 98.
+    # The AND gate draws y = 3: shares are 7 + 3 = 10 and -3 mod 101 = 98.
     access = compile_policy("A AND B", P)
-    shares = share(access, 7, tail=(3,))
-    assert shares.vector == (7, 3)
-    assert shares.shares == (10, 98)
+    assert share(access, 7, ScriptedRng([3])) == (10, 98)
 
 
 def test_share_or_gate_copies_secret():
     access = compile_policy("A OR B", P)
-    shares = share(access, 7, tail=())
-    assert shares.shares == (7, 7)
+    assert share(access, 7, Random(1)) == (7, 7)
 
 
 def test_share_zero_tail_exposes_first_column():
     access = compile_policy("(a AND b) OR c", P)
-    shares = share(access, 13, tail=(0,))
-    assert shares.shares == tuple(13 * row[0] % P for row in access.matrix)
+    shares = share(access, 13, ScriptedRng([0]))
+    assert shares == (13, 0, 13)
+    assert shares == tuple(13 * row[0] % P for row in share_matrix(access.policy, P))
 
 
 def test_reconstruct_and_gate():
@@ -102,16 +100,16 @@ def test_reconstruct_covers_all_labeled_rows():
     access = compile_policy("A OR B", P)
     coeffs = reconstruct_coeffs(access, {"A", "B"})
     assert set(coeffs) == {0, 1}  # both rows present, zeros allowed
-    shares = share(access, 55, rng=Random(1))
-    assert sum(coeffs[i] * shares.shares[i] for i in coeffs) % P == 55
+    shares = share(access, 55, Random(1))
+    assert sum(coeffs[i] * shares[i] for i in coeffs) % P == 55
 
 
 def test_duplicate_attribute_policy():
     access = compile_policy("A AND A", P)
     coeffs = reconstruct_coeffs(access, {"A"})
     assert coeffs is not None
-    shares = share(access, 42, rng=Random(5))
-    assert sum(coeffs[i] * shares.shares[i] for i in coeffs) % P == 42
+    shares = share(access, 42, Random(5))
+    assert sum(coeffs[i] * shares[i] for i in coeffs) % P == 42
 
 
 _attrs = ("a", "b", "c", "d", "e", "f")
@@ -130,15 +128,29 @@ def test_reconstruction_iff_boolean_satisfaction(formula_seed, set_seed):
     if coeffs is not None:
         assert set(coeffs) == set(access.rows_for(candidate))
         assert set(coeffs.values()) <= {0, 1}
-        combination = [
-            sum(coeffs[i] * access.matrix[i][c] for i in coeffs) % P
-            for c in range(access.columns)
-        ]
-        assert combination == [1] + [0] * (access.columns - 1)
         for trial in range(5):
-            shares = share(access, set_rng.randrange(P), rng=set_rng)
-            total = sum(coeffs[i] * shares.shares[i] for i in coeffs) % P
-            assert total == shares.secret
+            secret = set_rng.randrange(P)
+            shares = share(access, secret, set_rng)
+            assert sum(coeffs[i] * shares[i] for i in coeffs) % P == secret
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000), st.integers(0, P - 1))
+def test_tree_shares_equal_the_matrix_shares(formula_seed, share_seed, secret):
+    """The tree walk gives M.v for the vector-labelling matrix M, with v the
+    secret followed by the AND-gate draws of an identically seeded rng, and
+    reconstruction's 0/1 coefficients sum M's rows to (1, 0, ..., 0)."""
+    formula = random_formula(Random(formula_seed), _attrs, max_leaves=16)
+    access = compile_policy(formula, P)
+    matrix = share_matrix(access.policy, P)
+    draws = Random(share_seed)
+    v = [secret] + [draws.randrange(P) for _ in matrix[0][1:]]
+    expected = tuple(sum(a * b for a, b in zip(v, row)) % P for row in matrix)
+    assert share(access, secret, Random(share_seed)) == expected
+    set_rng = Random(secret)
+    candidate = satisfying_set(formula, set_rng) | {a for a in _attrs if set_rng.random() < 0.3}
+    coeffs = reconstruct_coeffs(access, candidate)
+    combination = [sum(coeffs[i] * matrix[i][c] for i in coeffs) % P for c in range(len(v))]
+    assert combination == [1] + [0] * (len(v) - 1)
 
 
 @given(st.integers(0, 10_000))
@@ -147,11 +159,3 @@ def test_satisfying_and_violating_helpers_agree(seed):
     formula = random_formula(rng, _attrs)
     assert evaluate(formula, satisfying_set(formula, rng))
     assert not evaluate(formula, violating_set(formula, _attrs, rng))
-
-
-def test_share_requires_rng_or_tail():
-    access = compile_policy("A AND B", P)
-    with pytest.raises(ValueError):
-        share(access, 7)
-    with pytest.raises(ValueError):
-        share(access, 7, tail=(1, 2))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from random import Random
 
 import pytest
@@ -332,6 +333,21 @@ def test_replay_matches_run():
     replayed = metrics_from_events(result.events)
     assert replayed == result.metrics
     assert replayed.summary_lines() == result.metrics.summary_lines()
+
+
+def test_replay_names_the_malformed_line():
+    served = (
+        "ev=served t=1 seq=1 requester=v name=n hops=1 latency=5 from=o kind=rsu hit=0 retries=0"
+    )
+    assert metrics_from_events(["", served]).served == 1
+    for bad, message in [
+        (served.replace(" latency=5", ""), "event line 2: no field 'latency'"),
+        (served.replace("hit=0", "hit=no"), "event line 2: invalid literal for int()"),
+        ("ev=notfound seq=1 t=1 requester=v", "event line 2: no field 'name'"),
+        ("ev=data t=1 stray", "event line 2: token 'stray' has no '='"),
+    ]:
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            metrics_from_events([served, bad])
 
 
 def test_disconnected_topology_rejected():

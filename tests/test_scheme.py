@@ -32,7 +32,7 @@ from tskpabe.scheme import (
     sk_to_bytes,
 )
 from tskpabe.timetree import TimeCover, TimeNode, TimeWindow, set_cover
-from tskpabe.wire import WireError
+from tskpabe.wire import WireError, pack_u8, pack_u16, pack_u32, pack_u64
 
 P = 2**31 - 1
 
@@ -99,6 +99,9 @@ def test_setup_rejects_bad_parameters():
         scheme.setup(3, depth=1, rng=Random(0))
     with pytest.raises(ValueError):
         scheme.setup(["a", "a"], rng=Random(0))
+    for label in ("", "and", "(gold)", "gold silver", " gold"):
+        with pytest.raises(ValueError, match="not an attribute a policy can name"):
+            scheme.setup(["gold", label], rng=Random(0))
 
 
 # ----------------------------------------------------------------------
@@ -559,3 +562,11 @@ def test_zero_alpha_master_key_rejected():
     zeroed = data[:offset] + bytes(width) + data[offset + width :]
     with pytest.raises(WireError, match="zero alpha"):
         mk_from_bytes(zeroed)
+
+
+def test_wire_fields_reject_values_too_wide():
+    for pack, bits in ((pack_u8, 8), (pack_u16, 16), (pack_u32, 32), (pack_u64, 64)):
+        assert pack(2**bits - 1) == b"\xff" * (bits // 8)
+        for value in (2**bits, -1):
+            with pytest.raises(WireError, match=f"value {value} does not fit an unsigned {bits}"):
+                pack(value)
