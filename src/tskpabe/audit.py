@@ -69,7 +69,7 @@ def audit_decryption(
     v_tau = c0_tau.log
     e_gg = suite.gt_generator()
     g_w = g**w
-    inv_pid = sk.pid.inverse()
+    inv_pid = pow(sk.pid, -1, p)
 
     steps = []
 
@@ -98,8 +98,7 @@ def audit_decryption(
         suite.pair(scheme._time_base(pk, node) ** v_tau, g_w),
     )
     lhs_d = suite.identity_target()
-    for i in sorted(omegas):
-        omega = suite.scalar(omegas[i])
+    for i, omega in sorted(omegas.items()):
         d_i, d_i_prime = sk.rows[i]
         k_i = scheme._helper_k(pk, sk.access.row_attributes[i])
         lhs_d = lhs_d * (

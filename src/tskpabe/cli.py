@@ -107,22 +107,20 @@ def _cmd_keygen(args) -> int:
     scheme = _scheme_for(pk)
     cover = _cover_from_args(args)
     if args.id is not None:
-        pid = pk.suite.scalar(args.id)
-        pid_display = f"pid:{pid.value:x}"
+        pid = args.id  # keygen takes it mod p
     elif args.user:
         from .subscription import derive_pseudo_id
 
         start = cover.window().start
         nonce = bytes.fromhex(args.nonce) if args.nonce else b""
-        identity = derive_pseudo_id(pk.suite, args.user, start, nonce)
-        pid, pid_display = identity.scalar, identity.display
+        pid = derive_pseudo_id(pk.suite, args.user, start, nonce).scalar
     else:
         raise UsageError("need --id or --user")
     access = compile_policy(args.policy, pk.suite.p)
     sk = scheme.keygen(pk, mk, pid, cover, access, rng=Random(args.seed))
     _write(args.out, sk_to_bytes(sk))
     source, target = component_counts(sk)
-    print(f"pid={pid_display} rows={access.rows}")
+    print(f"pid=pid:{sk.pid:x} rows={access.rows}")
     print(f"cover={','.join(cover.texts())}")
     print(f"sk_source={source} sk_target={target}")
     print(f"wrote sk={args.out}")

@@ -11,13 +11,16 @@ arithmetic mod p.  This makes group equations checkable as integer
 identities, which is what the algebra auditor and the test suite rely on.
 It is deliberately non-hiding and provides no security at all.
 
+Exponents are plain ints: raising an element to any int reduces it mod p,
+and the random and hashed draws return residues in [0, p).
+
 The suite carries operation counters so callers can account for the exact
 number of pairings and exponentiations a computation performed.
 """
 
 from random import Random
 
-from . import Record, _set
+from . import Record
 
 _HASH_LABEL = b"hash-to-scalar.v1"
 
@@ -26,7 +29,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class SuiteMismatchError(ValueError):
-    """Elements or scalars from different suites were mixed."""
+    """Elements from different suites were mixed."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -79,73 +82,6 @@ class OpCounters(Record, frozen=False):
         )
 
 
-class Scalar(Record):
-    """Residue mod the group order p.  Arithmetic is exact mod p."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        _set(self, "value", value % modulus)
-        _set(self, "modulus", modulus)
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.modulus != self.modulus:
-                raise SuiteMismatchError("scalars from different moduli")
-            return other
-        if isinstance(other, int):
-            return Scalar(other, self.modulus)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(other.value - self.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Scalar(-self.value, self.modulus)
-
-    def inverse(self) -> "Scalar":
-        if self.value == 0:
-            raise ZeroDivisionError("zero scalar has no inverse")
-        return Scalar(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-
 class _Element:
     """Group element of the transparent suite: a bare discrete log."""
 
@@ -170,18 +106,12 @@ class _Element:
         self.suite.counters.multiplications += 1
         return type(self)(self.suite, self.log + other.log)
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, Scalar):
-            if exponent.modulus != self.suite.p:
-                raise SuiteMismatchError("scalar from a different modulus")
-            e = exponent.value
-        elif isinstance(exponent, int):
-            e = exponent % self.suite.p
-        else:
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
             return NotImplemented
         counters = self.suite.counters
         setattr(counters, self._exp_counter, getattr(counters, self._exp_counter) + 1)
-        return type(self)(self.suite, self.log * e)
+        return type(self)(self.suite, self.log * exponent)
 
     def inverse(self):
         return self ** (self.suite.p - 1)
@@ -231,19 +161,16 @@ class TransparentSuite:
     def __hash__(self):
         return hash((type(self).__name__, self.p))
 
-    def scalar(self, value: int) -> Scalar:
-        return Scalar(value, self.p)
+    def random_scalar(self, rng: Random) -> int:
+        return rng.randrange(self.p)
 
-    def random_scalar(self, rng: Random) -> Scalar:
-        return Scalar(rng.randrange(self.p), self.p)
-
-    def random_nonzero_scalar(self, rng: Random) -> Scalar:
+    def random_nonzero_scalar(self, rng: Random) -> int:
         while True:
-            s = self.random_scalar(rng)
+            s = rng.randrange(self.p)
             if s:
                 return s
 
-    def hash_to_scalar(self, data: bytes) -> Scalar:
+    def hash_to_scalar(self, data: bytes) -> int:
         """Deterministic hash into [1, p).  Zero is resampled away because
         derived identities end up as exponent divisors."""
         import hashlib
@@ -255,7 +182,7 @@ class TransparentSuite:
             ).digest()
             value = int.from_bytes(digest, "big") % self.p
             if value:
-                return Scalar(value, self.p)
+                return value
             counter += 1
 
     # ------------------------------------------------------------------
@@ -322,13 +249,6 @@ class TransparentSuite:
 # Smallest Mersenne prime that comfortably defeats accidental collisions
 # in randomized tests while keeping brute-force oracles instant.
 DEFAULT_MODULUS = 2**31 - 1
-
-
-def pair(a: SourceElement, b: SourceElement) -> TargetElement:
-    """Module-level convenience for suite.pair(a, b)."""
-    if a.suite != b.suite:
-        raise SuiteMismatchError("pairing arguments from different suites")
-    return a.suite.pair(a, b)
 
 
 def parse_suite(spec: str) -> TransparentSuite:

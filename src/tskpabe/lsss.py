@@ -1,5 +1,7 @@
 """Monotone AND/OR policies as linear secret-sharing schemes over Z_p.
 
+Secrets, shares and reconstruction coefficients are plain ints mod p.
+
 A policy has one row per leaf, left to right.  Sharing a secret w walks
 the formula top-down: the root carries w, an OR gate hands its value to
 both children, and the k-th AND gate in preorder draws y_k and hands
@@ -28,7 +30,6 @@ import re
 from random import Random
 
 from . import Record, _set
-from .groups import Scalar
 
 _TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|([A-Za-z_][A-Za-z0-9_\-]*))")
 
@@ -190,7 +191,7 @@ def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure
     return AccessStructure(tuple(leaves), modulus, node)
 
 
-def share(structure: AccessStructure, secret: Scalar | int, rng: Random) -> tuple[int, ...]:
+def share(structure: AccessStructure, secret: int, rng: Random) -> tuple[int, ...]:
     """The shares lambda_i of a secret, one per row, by the tree walk of
     the module docstring."""
     p = structure.modulus
@@ -207,7 +208,7 @@ def share(structure: AccessStructure, secret: Scalar | int, rng: Random) -> tupl
             walk(n.left, value + y)
             walk(n.right, -y)
 
-    walk(structure.policy, int(secret) % p)
+    walk(structure.policy, secret % p)
     return tuple(shares)
 
 

@@ -188,12 +188,15 @@ class ScenarioConfig(Record):
 _NAME_RE = re.compile(r"^[^\s=]+$")
 
 
-def _kv(parts: list[str], line_no: int) -> dict[str, str]:
+def _kv(tokens: list[str], line_no: int, prefix: str = "line") -> dict[str, str]:
+    """``key=value`` tokens as a dict; an error names ``prefix`` and line."""
     out = {}
-    for part in parts:
-        key, sep, value = part.partition("=")
-        if not sep or not key:
-            raise ScenarioError(f"line {line_no}: expected key=value, got {part!r}")
+    for token in tokens:
+        key, sep, value = token.partition("=")
+        if not sep:
+            raise ScenarioError(f"{prefix} {line_no}: token {token!r} has no '='")
+        if not key:
+            raise ScenarioError(f"{prefix} {line_no}: token {token!r} has no key")
         out[key] = value
     return out
 
@@ -918,24 +921,14 @@ def run_scenario(config: ScenarioConfig) -> SimulationResult:
     return Simulation(config).run()
 
 
-def _parse_fields(line: str) -> dict[str, str]:
-    fields = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"token {token!r} has no '='")
-        fields[key] = value
-    return fields
-
-
 def metrics_from_events(events) -> Metrics:
     """Recompute the metrics from an event log alone; a malformed line
     raises ScenarioError naming it."""
     rows = []
     integrity = 0
     for number, line in enumerate(events, start=1):
+        fields = _kv(line.split(), number, "event line")
         try:
-            fields = _parse_fields(line)
             ev = fields.get("ev")
             if ev == "integrity":
                 integrity += 1

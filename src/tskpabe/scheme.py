@@ -4,7 +4,8 @@ Keys carry a monotone policy formula (compiled to an LSSS) plus a
 set-cover of the holder's entitled days; ciphertexts carry attribute labels
 plus a set-cover of the content's decryptable days.  Decryption needs the
 attribute set to satisfy the key policy and at least one time node present
-verbatim on both sides.
+verbatim on both sides.  Every exponent (alpha, beta, the shares, the
+pseudo-identity) is a plain int mod p; inverses are ``pow(x, -1, p)``.
 
 Two construction variants are supported and recorded inside every key and
 ciphertext:
@@ -32,13 +33,7 @@ from enum import Enum
 from random import Random
 
 from . import Record, lsss
-from .groups import (
-    Scalar,
-    SourceElement,
-    SuiteMismatchError,
-    TargetElement,
-    TransparentSuite,
-)
+from .groups import SourceElement, SuiteMismatchError, TargetElement, TransparentSuite
 from .lsss import AccessStructure
 from .timetree import TimeCover, TimeNode
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u16
@@ -47,6 +42,8 @@ _MAGIC = b"TSKA"
 _FORMAT_VERSION = 1
 _KIND_PK, _KIND_SK, _KIND_CT = 1, 2, 3
 _MARKER_MK, _MARKER_SK_MATRIX, _MARKER_SK = 0, 1, 2
+# A public key stores its universe size in a u16 and its tree depth in a u8.
+_MAX_UNIVERSE, _MAX_DEPTH = 0xFFFF, 0xFF
 
 DEFAULT_DEPTH = 4
 
@@ -99,13 +96,13 @@ class PublicParams(Record):
 
 
 class MasterKey(Record):
-    alpha: Scalar
-    beta: Scalar
+    alpha: int
+    beta: int
 
 
 class PrivateKey(Record):
     mode: Mode
-    pid: Scalar
+    pid: int
     access: AccessStructure
     cover: TimeCover
     d0: TargetElement
@@ -143,6 +140,9 @@ def component_counts(obj) -> tuple[int, int]:
 
 
 def _normalize_universe(universe) -> tuple[str, ...]:
+    size = universe if isinstance(universe, int) else len(universe)
+    if size > _MAX_UNIVERSE:
+        raise ValueError(f"universe size must be <= {_MAX_UNIVERSE}, got {size}")
     if isinstance(universe, int):
         if universe < 1:
             raise ValueError("universe size must be >= 1")
@@ -179,6 +179,8 @@ class TimedKpAbe:
         labels = _normalize_universe(universe)
         if depth < 2:
             raise ValueError("tree depth must be >= 2")
+        if depth > _MAX_DEPTH:
+            raise ValueError(f"tree depth must be <= {_MAX_DEPTH}, got {depth}")
         suite = self.suite
         g = suite.generator()
         alpha = suite.random_nonzero_scalar(rng)
@@ -193,7 +195,7 @@ class TimedKpAbe:
             g=g,
             g_alpha=g**alpha,
             g_alpha_sq=g ** (alpha * alpha),
-            g_inv_alpha=g ** alpha.inverse(),
+            g_inv_alpha=g ** pow(alpha, -1, suite.p),
             g_beta=g**beta,
             g_beta_sq=g ** (beta * beta),
             e_gg_alpha=suite.pair(g, g) ** alpha,
@@ -222,23 +224,24 @@ class TimedKpAbe:
         self,
         pk: PublicParams,
         mk: MasterKey,
-        pid: Scalar,
+        pid: int,
         cover: TimeCover,
         access: AccessStructure,
         *,
         rng: Random,
     ) -> PrivateKey:
-        if int(pid) == 0:
+        suite = self.suite
+        pid %= suite.p
+        if pid == 0:
             raise ValueError("pseudo-identity must be nonzero")
         self._check_pk(pk)
         self._check_cover_depth(pk, cover)
         for attribute in access.row_attributes:
             pk.h_beta_for(attribute)  # unknown labels fail here
-        suite = self.suite
         g = pk.g
         # w is the shared exponent, split into one share per policy row.
         w = suite.random_scalar(rng)
-        lam = [suite.scalar(s) for s in lsss.share(access, int(w), rng=rng)]
+        lam = lsss.share(access, w, rng=rng)
         rows = []
         for i, attribute in enumerate(access.row_attributes):
             d_i = g ** (mk.beta * lam[i])
@@ -253,7 +256,7 @@ class TimedKpAbe:
             access=access,
             cover=cover,
             d0=pk.e_gg_alpha**w,
-            d0_prime=g ** (w * mk.alpha.inverse()),
+            d0_prime=g ** (w * pow(mk.alpha, -1, suite.p)),
             d_time=tuple(self._time_base(pk, node) ** w for node in cover),
             rows=tuple(rows),
         )
@@ -345,9 +348,8 @@ class TimedKpAbe:
         c0_tau, c1_tau = ct.c_time[ct.cover.nodes.index(node)]
         num = ct.c0 * suite.pair(d_time, c0_tau) * suite.pair(ct.c0_prime, sk.d0_prime)
         den = suite.pair(ct.c0_prime, pk.g_inv_alpha)
-        inv_pid = sk.pid.inverse()
-        for i in sorted(omegas):
-            omega = suite.scalar(omegas[i])
+        inv_pid = pow(sk.pid, -1, suite.p)
+        for i, omega in sorted(omegas.items()):
             d_i, d_i_prime = sk.rows[i]
             k_i = self._helper_k(pk, sk.access.row_attributes[i])
             den = den * (
@@ -414,9 +416,9 @@ def _read_header(reader: Reader, expected_kind: int) -> tuple[Mode, TransparentS
     return mode, TransparentSuite(p)
 
 
-def _pack_element(el) -> bytes:
-    width = el.suite.scalar_width
-    return el.log.to_bytes(width, "big")
+def _pack_residue(value: int, suite: TransparentSuite) -> bytes:
+    """One fixed-width field: an exponent, or an element's discrete log."""
+    return value.to_bytes(suite.scalar_width, "big")
 
 
 def _read_residue(reader: Reader, suite: TransparentSuite) -> int:
@@ -433,14 +435,6 @@ def _read_source(reader: Reader, suite: TransparentSuite) -> SourceElement:
 
 def _read_target(reader: Reader, suite: TransparentSuite) -> TargetElement:
     return suite.target_from_log(_read_residue(reader, suite))
-
-
-def _pack_scalar(s: Scalar, suite: TransparentSuite) -> bytes:
-    return s.value.to_bytes(suite.scalar_width, "big")
-
-
-def _read_scalar(reader: Reader, suite: TransparentSuite) -> Scalar:
-    return suite.scalar(_read_residue(reader, suite))
 
 
 def _pack_cover(cover: TimeCover) -> bytes:
@@ -461,9 +455,8 @@ def pk_to_bytes(pk: PublicParams) -> bytes:
     out += pack_u16(len(pk.universe)) + pack_u8(pk.depth)
     for label in pk.universe:
         out += pack_str(label)
-    for el in pk.source_elements():
-        out += _pack_element(el)
-    out += _pack_element(pk.e_gg_alpha)
+    for el in (*pk.source_elements(), pk.e_gg_alpha):
+        out += _pack_residue(el.log, pk.suite)
     return out
 
 
@@ -472,7 +465,11 @@ def pk_from_bytes(data: bytes) -> PublicParams:
     mode, suite = _read_header(reader, _KIND_PK)
     size = reader.u16()
     depth = reader.u8()
-    universe = tuple(reader.str_() for _ in range(size))
+    labels = [reader.str_() for _ in range(size)]
+    try:
+        universe = _normalize_universe(labels)
+    except ValueError as exc:
+        raise WireError(f"public key universe: {exc}") from None
     g = _read_source(reader, suite)
     g_alpha = _read_source(reader, suite)
     g_alpha_sq = _read_source(reader, suite)
@@ -504,8 +501,8 @@ def mk_to_bytes(mk: MasterKey, suite: TransparentSuite, mode: Mode) -> bytes:
     return (
         _pack_header(_KIND_SK, mode, suite)
         + pack_u8(_MARKER_MK)
-        + _pack_scalar(mk.alpha, suite)
-        + _pack_scalar(mk.beta, suite)
+        + _pack_residue(mk.alpha, suite)
+        + _pack_residue(mk.beta, suite)
     )
 
 
@@ -514,10 +511,10 @@ def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
     mode, suite = _read_header(reader, _KIND_SK)
     if reader.u8() != _MARKER_MK:
         raise WireError("not a master key")
-    alpha = _read_scalar(reader, suite)
+    alpha = _read_residue(reader, suite)
     if not alpha:
         raise WireError("master key has a zero alpha")
-    beta = _read_scalar(reader, suite)
+    beta = _read_residue(reader, suite)
     reader.require_exhausted()
     return MasterKey(alpha, beta), mode, suite
 
@@ -526,15 +523,11 @@ def sk_to_bytes(sk: PrivateKey) -> bytes:
     suite = sk.d0_prime.suite
     out = _pack_header(_KIND_SK, sk.mode, suite)
     out += pack_u8(_MARKER_SK)
-    out += _pack_scalar(sk.pid, suite)
+    out += _pack_residue(sk.pid, suite)
     out += pack_str(lsss.policy_text(sk.access.policy))
     out += _pack_cover(sk.cover)
-    out += _pack_element(sk.d0)
-    out += _pack_element(sk.d0_prime)
-    for el in sk.d_time:
-        out += _pack_element(el)
-    for d_i, d_i_prime in sk.rows:
-        out += _pack_element(d_i) + _pack_element(d_i_prime)
+    for el in (sk.d0, *sk.source_elements()):
+        out += _pack_residue(el.log, suite)
     return out
 
 
@@ -546,7 +539,7 @@ def sk_from_bytes(data: bytes) -> PrivateKey:
         raise WireError("private key in the retired matrix format, reissue it")
     if marker != _MARKER_SK:
         raise WireError("not a private key")
-    pid = _read_scalar(reader, suite)
+    pid = _read_residue(reader, suite)
     if not pid:
         raise WireError("private key has a zero pseudo-identity")
     try:
@@ -581,10 +574,8 @@ def ct_to_bytes(ct: Ciphertext) -> bytes:
     for attribute in ct.attributes:
         out += pack_str(attribute)
     out += _pack_cover(ct.cover)
-    out += _pack_element(ct.c0)
-    out += _pack_element(ct.c0_prime)
-    for c0_tau, c1_tau in ct.c_time:
-        out += _pack_element(c0_tau) + _pack_element(c1_tau)
+    for el in (ct.c0, *ct.source_elements()):
+        out += _pack_residue(el.log, suite)
     return out
 
 

@@ -21,18 +21,14 @@ from . import Record
 from .timetree import Day, TimeWindow, format_day, parse_day, set_cover, validate_day
 from .wire import pack_bytes, pack_str
 
-# Annotations stay unevaluated, so the scheme types they name (Scalar,
-# PrivateKey, TimedKpAbe, ...) are not imported: the ledger commands load
-# neither the scheme nor its groups.
+# Annotations stay unevaluated, so the scheme types they name (PrivateKey,
+# TimedKpAbe, ...) are not imported: the ledger commands load neither the
+# scheme nor its groups.
 
 
 class PseudoIdentity(Record):
-    scalar: Scalar
+    scalar: int  # nonzero, mod p
     display: str
-
-    @classmethod
-    def from_scalar(cls, scalar: Scalar) -> "PseudoIdentity":
-        return cls(scalar, f"pid:{scalar.value:x}")
 
 
 def derive_pseudo_id(
@@ -40,7 +36,8 @@ def derive_pseudo_id(
 ) -> PseudoIdentity:
     """Nonzero scalar from the canonical (user, start day, nonce) encoding."""
     material = pack_str(user) + pack_str(format_day(start)) + pack_bytes(nonce)
-    return PseudoIdentity.from_scalar(suite.hash_to_scalar(material))
+    scalar = suite.hash_to_scalar(material)
+    return PseudoIdentity(scalar, f"pid:{scalar:x}")
 
 
 class SubscriptionRecord(Record):

@@ -149,7 +149,7 @@ def recompute_step_d_logs(pk, ct, sk, node) -> tuple[int, int]:
     w = sk.d0_prime.log * alpha % p
     _, c1_tau = ct.c_time[ct.cover.nodes.index(node)]
     omegas = reconstruct_coeffs(sk.access, ct.attributes)
-    inv_pid = pow(sk.pid.value, -1, p)
+    inv_pid = pow(sk.pid, -1, p)
     lhs = 0
     for i in sorted(omegas):
         omega = omegas[i]

@@ -89,7 +89,7 @@ def test_criterion_1_component_count_reproduction():
                     sk = scheme.keygen(
                         pk,
                         mk,
-                        suite.scalar(17),
+                        17,
                         contiguous_day_cover(start, tk),
                         access,
                         rng=rng,
@@ -108,7 +108,7 @@ def test_criterion_1_component_count_reproduction():
         rng = Random(2000)
         pk, mk = scheme.setup(["a", "b"], depth=depth, rng=rng)
         access = compile_policy("a OR b", suite.p)
-        sk = scheme.keygen(pk, mk, suite.scalar(17), contiguous_day_cover(start, 1), access, rng=rng)
+        sk = scheme.keygen(pk, mk, 17, contiguous_day_cover(start, 1), access, rng=rng)
         ct = scheme.encrypt(
             pk, suite.random_target(rng), contiguous_day_cover(start, 1), ["a"], rng=rng
         )
@@ -137,7 +137,7 @@ def _random_instance(scheme, rng, universe):
     access = compile_policy(formula, scheme.suite.p)
     window = random_window(rng, (2022, 1, 1), (2022, 12, 31))
     cover = set_cover(window)
-    pid = scheme.suite.scalar(rng.randrange(1, scheme.suite.p))
+    pid = rng.randrange(1, scheme.suite.p)
     return formula, access, cover, pid
 
 
@@ -243,7 +243,7 @@ def test_criterion_7_envelope_integrity():
         pk, mk = scheme.setup(["gold", "family"], depth=4, rng=rng)
         access = compile_policy("gold AND family", suite.p)
         cover = set_cover(TimeWindow.parse("2022-07-01..2022-09-02"))
-        sk = scheme.keygen(pk, mk, suite.scalar(5), cover, access, rng=rng)
+        sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
         ct_cover = TimeCover((cover.nodes[1],))
 
         for i in range(100):

@@ -600,6 +600,49 @@ def test_keygen_needs_identity(capsys, tmp_path, keyring):
     assert "need --id or --user" in err
 
 
+@pytest.mark.parametrize(
+    ("identity", "expected_code", "expected"),
+    [
+        ("0", 1, "nonzero"),
+        ("2147483647", 1, "nonzero"),  # p itself, zero mod p
+        ("-1", 0, "pid=pid:7ffffffe rows=1\n"),  # -1 mod p
+    ],
+)
+def test_keygen_id_is_taken_mod_p(capsys, tmp_path, keyring, identity, expected_code, expected):
+    pk, mk, _ = keyring
+    out_path = tmp_path / "x.bin"
+    code, out, err = run(
+        capsys, "keygen", "--pk", str(pk), "--mk", str(mk), "--policy", "gold",
+        "--nodes", "2022-08", "--id", identity, "--out", str(out_path),
+    )
+    assert code == expected_code
+    assert expected in (out if code == 0 else err)
+    assert out_path.exists() == (code == 0)
+
+
+@pytest.mark.parametrize(
+    ("label", "message"),
+    [
+        ("g)", "universe label 'g)' is not an attribute a policy can name"),
+        ("gold", "universe labels must be distinct"),
+    ],
+    ids=["unnameable", "repeated"],
+)
+def test_edited_public_key_labels_are_rejected(capsys, tmp_path, keyring, label, message):
+    from tskpabe.wire import pack_str
+
+    pk, _, _ = keyring
+    data = pk.read_bytes()
+    assert data.count(pack_str("family")) == 1
+    edited = tmp_path / "edited-pk.bin"
+    edited.write_bytes(data.replace(pack_str("family"), pack_str(label)))
+    code, _, err = run(
+        capsys, "encrypt", "--pk", str(edited), "--attrs", "gold", "--nodes", "2022-08",
+        "--out", str(tmp_path / "ct.bin"),
+    )
+    assert (code, err) == (1, f"error: public key universe: {message}\n")
+
+
 def test_encrypt_unknown_attribute_is_usage_error(capsys, tmp_path, keyring):
     pk, _, _ = keyring
     code, _, err = run(
@@ -931,9 +974,9 @@ _BAD_SCENARIOS = {
         (["sim", "run", "{ghost_unlink}"], 1, "error: unlink references unknown node 'ghost'"),
         (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
         (["setup", "--depth", "300", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
-         "error: value 300 does not fit an unsigned 8-bit field"),
+         "error: tree depth must be <= 255, got 300"),
         (["setup", "--universe-size", "70000", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
-         "error: value 70000 does not fit an unsigned 16-bit field"),
+         "error: universe size must be <= 65535, got 70000"),
         (["seal", "--pk", "{pk}", "--attrs", "gold", "--nodes", "2022-08", "--in", "{content}",
           "--out", "{out}", "--chunk-size", "5000000000"], 1,
          "error: value 5000000000 does not fit an unsigned 32-bit field"),

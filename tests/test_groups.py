@@ -8,7 +8,6 @@ from tskpabe.groups import (
     OpCounters,
     SuiteMismatchError,
     TransparentSuite,
-    pair,
     parse_suite,
 )
 
@@ -76,23 +75,6 @@ def test_target_group_laws(x, y):
     assert a * suite.identity_target() == a
 
 
-def test_scalar_field_arithmetic(suite):
-    a, b = suite.scalar(70), suite.scalar(40)
-    assert (a + b).value == 9
-    assert (a - b).value == 30
-    assert (a * b).value == (70 * 40) % P
-    assert (a / a).value == 1
-    assert (-a).value == P - 70
-    assert int(b.inverse() * b) == 1
-    with pytest.raises(ZeroDivisionError):
-        suite.scalar(0).inverse()
-
-
-def test_scalar_modulus_mixing_rejected(suite):
-    with pytest.raises(SuiteMismatchError):
-        suite.scalar(1) + TransparentSuite(103).scalar(1)
-
-
 def test_hash_to_scalar_deterministic(suite):
     assert suite.hash_to_scalar(b"abc") == suite.hash_to_scalar(b"abc")
     assert suite.hash_to_scalar(b"abc") != suite.hash_to_scalar(b"abd")
@@ -100,14 +82,14 @@ def test_hash_to_scalar_deterministic(suite):
 
 def test_hash_to_scalar_empty_input_golden(suite):
     # Pinned once from the fixed sha256 counter contract.
-    assert suite.hash_to_scalar(b"").value == 92
+    assert suite.hash_to_scalar(b"") == 92
 
 
 def test_hash_to_scalar_never_zero(suite):
     rng = Random(3)
     for _ in range(10_000):
         data = rng.randbytes(8)
-        assert suite.hash_to_scalar(data).value != 0
+        assert suite.hash_to_scalar(data) != 0
 
 
 def test_counters_track_operations(suite):
@@ -147,7 +129,7 @@ def test_cross_suite_operations_rejected(suite):
     with pytest.raises(SuiteMismatchError):
         suite.pair(suite.generator(), other.generator())
     with pytest.raises(SuiteMismatchError):
-        pair(suite.generator(), other.generator())
+        other.pair(suite.generator(), other.generator())
 
 
 def test_source_target_cannot_mix(suite):
@@ -172,10 +154,3 @@ def test_parse_suite():
         parse_suite("curve:whatever")
     with pytest.raises(ValueError):
         parse_suite("transparent:notanumber")
-
-
-def test_pair_module_function_counts(suite):
-    g = suite.generator()
-    before = suite.counters.snapshot()
-    pair(g, g)
-    assert suite.counters.since(before).pairings == 1

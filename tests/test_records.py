@@ -43,7 +43,6 @@ def samples() -> list:
     result = sim.run()
     return [
         pk.suite.counters.snapshot(),
-        pk.suite.scalar(5),
         access.policy.left,
         access.policy,
         access,
@@ -100,10 +99,10 @@ def _copy(record):
 def test_every_record_type_is_sampled(samples):
     assert audit.AuditReport in _record_types()
     assert {type(r) for r in samples} == _record_types()
-    assert len(_record_types()) == 34
+    assert len(_record_types()) == 33
 
 
-@pytest.mark.parametrize("index", range(34))
+@pytest.mark.parametrize("index", range(33))
 def test_record_value_semantics(samples, index):
     record = samples[index]
     name = type(record).__name__
@@ -146,7 +145,6 @@ def test_record_defaults_and_repr():
     assert ndnsim.ScenarioConfig() == ndnsim.ScenarioConfig(0, ndnsim.DEFAULT_CHUNK_SIZE)
     assert groups.OpCounters(pairings=3) == groups.OpCounters(3, 0, 0, 0)
     assert repr(timetree.TimeNode((2022, 8))) == "TimeNode(components=(2022, 8))"
-    assert groups.Scalar(P + 4, P) == groups.Scalar(4, P)
     with pytest.raises(TypeError, match="missing field 'updated_at'"):
         envelope.DirectoryEntry("clip", b"\x01")
     with pytest.raises(TypeError, match="unexpected fields"):

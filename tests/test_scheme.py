@@ -1,3 +1,4 @@
+import hashlib
 from random import Random
 
 import pytest
@@ -72,7 +73,7 @@ def test_setup_component_counts():
 def test_setup_scripted_alpha_exposes_powers():
     scheme = make_scheme(p=101)
     pk, mk = scheme.setup(2, depth=4, rng=ScriptedRng([5]))
-    assert mk.alpha.value == 5
+    assert mk.alpha == 5
     assert pk.g_alpha.log == 5
     assert pk.g_alpha_sq.log == 25
     assert pk.g_inv_alpha.log == 81  # 5 * 81 = 405 = 4 * 101 + 1
@@ -81,7 +82,7 @@ def test_setup_scripted_alpha_exposes_powers():
 def test_setup_resamples_zero_alpha():
     scheme = make_scheme(p=101)
     pk, mk = scheme.setup(1, depth=2, rng=ScriptedRng([0, 0, 7]))
-    assert mk.alpha.value == 7
+    assert mk.alpha == 7
 
 
 def test_setup_inverse_alpha_consistency():
@@ -104,6 +105,23 @@ def test_setup_rejects_bad_parameters():
             scheme.setup(["gold", label], rng=Random(0))
 
 
+def test_setup_bounds_fail_before_any_draw():
+    scheme = make_scheme()
+    cases = [
+        (70_000, 4, "universe size must be <= 65535, got 70000"),
+        ([f"a{i}" for i in range(65_536)], 4, "universe size must be <= 65535, got 65536"),
+        (3, 256, "tree depth must be <= 255, got 256"),
+    ]
+    for universe, depth, message in cases:
+        rng = Random(0)
+        with pytest.raises(ValueError, match=message):
+            scheme.setup(universe, depth=depth, rng=rng)
+        assert scheme.suite.counters == OpCounters()
+        assert rng.getstate() == Random(0).getstate()
+    pk, _ = scheme.setup(1, depth=255, rng=Random(0))
+    assert pk_from_bytes(pk_to_bytes(pk)).depth == 255
+
+
 # ----------------------------------------------------------------------
 # KeyGen.
 # ----------------------------------------------------------------------
@@ -122,7 +140,7 @@ def test_keygen_single_leaf_single_node_counts():
     pk, mk = scheme.setup(2, depth=4, rng=rng)
     access = compile_policy("attr1", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08-05")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(9), cover, access, rng=rng)
+    sk = scheme.keygen(pk, mk, 9, cover, access, rng=rng)
     assert component_counts(sk) == (4, 1)
 
 
@@ -132,8 +150,8 @@ def test_keygen_d0_matches_transparent_oracle():
     pk, mk = scheme.setup(2, depth=4, rng=rng)
     access = compile_policy("attr1 AND attr2", 101)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08-05")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(3), cover, access, rng=rng)
-    alpha = mk.alpha.value
+    sk = scheme.keygen(pk, mk, 3, cover, access, rng=rng)
+    alpha = mk.alpha
     w = sk.d0_prime.log * alpha % 101
     assert sk.d0.log == alpha * w % 101
 
@@ -145,7 +163,7 @@ def test_keygen_rejects_zero_identity():
     access = compile_policy("attr1", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08-05")])
     with pytest.raises(ValueError, match="nonzero"):
-        scheme.keygen(pk, mk, scheme.suite.scalar(0), cover, access, rng=rng)
+        scheme.keygen(pk, mk, 0, cover, access, rng=rng)
 
 
 def test_keygen_rejects_unknown_attribute_and_deep_node():
@@ -155,12 +173,12 @@ def test_keygen_rejects_unknown_attribute_and_deep_node():
     cover = TimeCover.from_nodes([TimeNode.parse("2022")])
     with pytest.raises(KeyError):
         scheme.keygen(
-            pk, mk, scheme.suite.scalar(1), cover, compile_policy("silver", scheme.suite.p), rng=rng
+            pk, mk, 1, cover, compile_policy("silver", scheme.suite.p), rng=rng
         )
     deep = TimeCover.from_nodes([TimeNode.parse("2022-08")])
     with pytest.raises(ValueError, match="too deep"):
         scheme.keygen(
-            pk, mk, scheme.suite.scalar(1), deep, compile_policy("gold", scheme.suite.p), rng=rng
+            pk, mk, 1, deep, compile_policy("gold", scheme.suite.p), rng=rng
         )
 
 
@@ -202,7 +220,7 @@ def test_encrypt_identity_message_exposes_blinding():
         ["attr1"],
         rng=rng,
     )
-    alpha = mk.alpha.value
+    alpha = mk.alpha
     x = ct.c0_prime.log * pow(alpha * alpha, -1, 101) % 101
     assert ct.c0.log == alpha * x % 101
 
@@ -237,7 +255,7 @@ def test_decrypt_denies_day_outside_subscription():
     pk, mk = scheme.setup(["gold", "family"], depth=4, rng=rng)
     access = compile_policy("gold AND family", scheme.suite.p)
     sk = scheme.keygen(
-        pk, mk, scheme.suite.scalar(5), set_cover(SUBSCRIPTION_WINDOW), access, rng=rng
+        pk, mk, 5, set_cover(SUBSCRIPTION_WINDOW), access, rng=rng
     )
     message = scheme.suite.random_target(rng)
     ct = scheme.encrypt(
@@ -256,7 +274,7 @@ def test_decrypt_denies_unsatisfied_policy():
     pk, mk = scheme.setup(["silver", "platinum"], depth=4, rng=rng)
     access = compile_policy("platinum", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(5), cover, access, rng=rng)
+    sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
     message = scheme.suite.random_target(rng)
     ct = scheme.encrypt(pk, message, cover, ["silver"], rng=rng)
     assert scheme.decrypt(pk, ct, sk) is None
@@ -273,7 +291,7 @@ def test_decrypt_pairing_counts():
     pk, mk = scheme.setup(["a", "b"], depth=4, rng=rng)
     access = compile_policy("a OR b", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(5), cover, access, rng=rng)
+    sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
     ct = scheme.encrypt(pk, scheme.suite.random_target(rng), cover, ["a"], rng=rng)
     before = scheme.suite.counters.snapshot()
     assert scheme.decrypt(pk, ct, sk) is not None
@@ -306,7 +324,7 @@ def test_denial_runs_no_group_operations():
     pk, mk = scheme.setup(["a", "b"], depth=4, rng=rng)
     access = compile_policy("a AND b", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(5), cover, access, rng=rng)
+    sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
     ct_bad_attrs = scheme.encrypt(pk, scheme.suite.random_target(rng), cover, ["a"], rng=rng)
     ct_bad_time = scheme.encrypt(
         pk,
@@ -339,7 +357,7 @@ def test_time_monotonicity_shrinking_cover_never_helps():
         formula = random_formula(rng, universe, max_leaves=4)
         access = compile_policy(formula, scheme.suite.p)
         cover = set_cover(random_window(rng, (2022, 1, 1), (2022, 12, 31)))
-        sk = scheme.keygen(pk, mk, scheme.suite.scalar(rng.randrange(1, P)), cover, access, rng=rng)
+        sk = scheme.keygen(pk, mk, rng.randrange(1, P), cover, access, rng=rng)
         if trial % 2 == 0:
             ct_cover = TimeCover((rng.choice(cover.nodes),))
         else:
@@ -447,7 +465,7 @@ def test_audit_requires_decryptable_instance():
     pk, mk = scheme.setup(["a", "b"], depth=4, rng=rng)
     access = compile_policy("a AND b", scheme.suite.p)
     cover = TimeCover.from_nodes([TimeNode.parse("2022-08")])
-    sk = scheme.keygen(pk, mk, scheme.suite.scalar(5), cover, access, rng=rng)
+    sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
     ct = scheme.encrypt(pk, scheme.suite.random_target(rng), cover, ["a"], rng=rng)
     with pytest.raises(ValueError, match="not decryptable"):
         scheme.audit(pk, ct, sk)
@@ -511,6 +529,47 @@ def test_truncated_serialization_rejected():
         pk_from_bytes(data + b"\x00")
 
 
+# SHA-256 of pk, mk, sk and ct bytes and of the decrypted message's
+# encoding, for setup/keygen/encrypt seeded with Random(2022).
+KNOWN_ANSWERS = {
+    Mode.PAPER: (
+        "03a0909ae8f26514eda442033cf196110679156ebae4acaeac6ed7f075995b4e",
+        "3a53f9fd01cb2e8e1439aa3a5202ee8466901c48c0c5c8e1bd50ae1d43e6c591",
+        "ab7b9b7b79255f4a605e60ca099216bdf2f2751266a33f9b8713f725f2334c5a",
+        "5eaecdc690102484a5312bd7516dbfcd505074eba55c34df7188cec1ddd5a352",
+        "9931986af48247781b1d50d9306a338bf621a89bd681200c68bade98d42597d9",
+    ),
+    Mode.REPAIRED: (
+        "8e89dc9fbc83affaaac5254d5b44e0fd6919724be3b556447e644e4c11df8d7f",
+        "11fe6b7cc8bb84eca2c01697e91cf6a70b96ce6d9fe4743c4bb2b1971f0f07e4",
+        "c19212429e056da852c2093b0c402f56183c8bd53ade74e1d9b60a96d85884b2",
+        "32af6038032515f39b4c474b9ed11eb6a29bbcfaa611e488d2dbb6b9322cfd08",
+        "c9228da941db8d7c691cd9707b0888e5a678f8e938715878c06cdf086ec6452f",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_key_and_ciphertext_known_answers(mode):
+    scheme = make_scheme(mode)
+    suite = scheme.suite
+    rng = Random(2022)
+    pk, mk = scheme.setup(["gold", "family", "platinum"], depth=4, rng=rng)
+    access = compile_policy("(gold OR platinum) AND family", P)
+    pid = suite.hash_to_scalar(b"alice")
+    sk = scheme.keygen(pk, mk, pid, set_cover(SUBSCRIPTION_WINDOW), access, rng=rng)
+    ct_cover = TimeCover.from_nodes([TimeNode.parse("2022-08")])
+    ct = scheme.encrypt(pk, suite.random_target(rng), ct_cover, ["gold", "family"], rng=rng)
+    blobs = (
+        pk_to_bytes(pk),
+        mk_to_bytes(mk, suite, mode),
+        sk_to_bytes(sk),
+        ct_to_bytes(ct),
+        suite.encode_element(scheme.decrypt(pk, ct, sk)),
+    )
+    assert tuple(hashlib.sha256(b).hexdigest() for b in blobs) == KNOWN_ANSWERS[mode]
+
+
 def _raised_by_p(data: bytes, offset: int, suite, expected: int) -> bytes:
     """Add p to the fixed-width field at offset, which must hold expected."""
     width = suite.scalar_width
@@ -530,8 +589,8 @@ def test_out_of_range_fields_rejected():
     cases = [
         (pk_from_bytes, pk_bytes, len(pk_bytes) - width, pk.e_gg_alpha.log),
         (ct_from_bytes, ct_bytes, len(ct_bytes) - width, ct.c_time[-1][1].log),
-        (sk_from_bytes, sk_bytes, header + 1, sk.pid.value),
-        (mk_from_bytes, mk_to_bytes(mk, suite, scheme.mode), header + 1, mk.alpha.value),
+        (sk_from_bytes, sk_bytes, header + 1, sk.pid),
+        (mk_from_bytes, mk_to_bytes(mk, suite, scheme.mode), header + 1, mk.alpha),
     ]
     for decode, data, offset, expected in cases:
         with pytest.raises(WireError, match="out of range"):
