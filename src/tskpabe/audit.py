@@ -1,7 +1,7 @@
 """Decryption-equation audit and the size/pairing bench of ``scheme``.
 
 Only the ``audit`` and ``bench`` commands read this module, so the key
-commands do not load it.  ``TimedKpAbe.audit`` calls ``audit_decryption``.
+commands do not load it.
 """
 
 from random import Random

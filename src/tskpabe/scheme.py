@@ -1,4 +1,4 @@
-"""Time-sensitive key-policy ABE: setup, key issue, encrypt, decrypt, audit.
+"""Time-sensitive key-policy ABE: setup, key issue, encrypt, decrypt.
 
 Keys carry a monotone policy formula (compiled to an LSSS) plus a
 set-cover of the holder's entitled days; ciphertexts carry attribute labels
@@ -14,7 +14,8 @@ ciphertext:
   d_i' = (g * h^beta)^(lambda_i * id), and the decryption helper is
   k_y = (g^beta * h_y^beta)^(-1).  The attribute product in the decryption
   equation then does not cancel, so decrypt returns the message multiplied
-  by a nonzero residual.  ``audit`` isolates and reports that residual.
+  by a nonzero residual.  ``audit.audit_decryption`` isolates and reports
+  that residual.
 * ``repaired``: the minimal change that closes the equation,
   d_i' = g^(lambda_i * id) and k = g^(-beta).  Decrypt returns the message
   exactly.
@@ -30,6 +31,8 @@ the set of key rows labeled by ciphertext attributes.
 """
 
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from random import Random
 
 from . import Record, lsss
@@ -76,10 +79,15 @@ class PublicParams(Record):
     h_beta: tuple[SourceElement, ...]
     v: tuple[SourceElement, ...]
 
+    @cached_property
+    def _label_index(self) -> dict[str, int]:
+        """Built on first use; kept in the instance dict, outside the fields."""
+        return {label: i for i, label in enumerate(self.universe)}
+
     def h_beta_for(self, attribute: str) -> SourceElement:
         try:
-            return self.h_beta[self.universe.index(attribute)]
-        except ValueError:
+            return self.h_beta[self._label_index[attribute]]
+        except KeyError:
             raise UnknownAttributeError(f"attribute {attribute!r} not in the universe") from None
 
     def source_elements(self) -> list[SourceElement]:
@@ -111,10 +119,7 @@ class PrivateKey(Record):
     rows: tuple[tuple[SourceElement, SourceElement], ...]  # (d_i, d_i')
 
     def source_elements(self) -> list[SourceElement]:
-        out = [self.d0_prime, *self.d_time]
-        for d_i, d_i_prime in self.rows:
-            out += [d_i, d_i_prime]
-        return out
+        return [self.d0_prime, *self.d_time, *chain.from_iterable(self.rows)]
 
 
 class Ciphertext(Record):
@@ -126,10 +131,7 @@ class Ciphertext(Record):
     c_time: tuple[tuple[SourceElement, SourceElement], ...]  # (c0_tau, c1_tau)
 
     def source_elements(self) -> list[SourceElement]:
-        out = [self.c0_prime]
-        for c0_tau, c1_tau in self.c_time:
-            out += [c0_tau, c1_tau]
-        return out
+        return [self.c0_prime, *chain.from_iterable(self.c_time)]
 
 
 def component_counts(obj) -> tuple[int, int]:
@@ -358,46 +360,29 @@ class TimedKpAbe:
             )
         return num * den.inverse()
 
-    # ------------------------------------------------------------------
-
-    def audit(self, pk: PublicParams, ct: Ciphertext, sk: PrivateKey):
-        """Check the decryption equation step by step; see
-        ``audit.audit_decryption``."""
-        from .audit import audit_decryption
-
-        return audit_decryption(self, pk, ct, sk)
-
 
 # ----------------------------------------------------------------------
-# Canonical serialization.  Header: magic, version, object kind, mode,
-# suite id, modulus; then the component lists in construction order.  The
-# key kind starts with a marker: master key, or private key with its policy
-# formula as canonical text (the retired private-key format held a matrix).
+# Canonical serialization.  Every object is a header, fixed fields, then an
+# element block.  Header: magic, version, object kind, mode byte (an index
+# into _MODES), suite id, modulus.  Fixed fields:
+#   pk  u16 universe size, u8 depth, the labels
+#   mk  marker 0, alpha, beta (a master key has no element block)
+#   sk  marker 2, pid, the policy formula as canonical text, the cover
+#   ct  u16 attribute count, the labels, the cover
+# A cover is a u16 node count and the node texts; marker 1 was the retired
+# private-key format, which held a matrix.  The element block holds one
+# fixed-width discrete log per element: a pk's source_elements() then
+# e_gg_alpha; an sk's d0 then source_elements(); a ct's c0 then
+# source_elements().
 # ----------------------------------------------------------------------
 
-
-def _mode_byte(mode: Mode) -> int:
-    return 0 if mode is Mode.PAPER else 1
+_MODES = (Mode.PAPER, Mode.REPAIRED)
 
 
-def _mode_from_byte(b: int) -> Mode:
-    if b == 0:
-        return Mode.PAPER
-    if b == 1:
-        return Mode.REPAIRED
-    raise WireError(f"unknown mode byte {b}")
-
-
-def _pack_header(kind: int, mode: Mode, suite: TransparentSuite) -> bytes:
-    p_bytes = suite.p.to_bytes((suite.p.bit_length() + 7) // 8, "big")
-    return (
-        _MAGIC
-        + pack_u8(_FORMAT_VERSION)
-        + pack_u8(kind)
-        + pack_u8(_mode_byte(mode))
-        + pack_u8(suite.suite_id)
-        + pack_bytes(p_bytes)
-    )
+def _header(kind: int, mode: Mode, suite: TransparentSuite) -> list[bytes]:
+    modulus = suite.p.to_bytes(suite.scalar_width, "big")
+    fixed = bytes((_FORMAT_VERSION, kind, _MODES.index(mode), suite.suite_id))
+    return [_MAGIC, fixed, pack_bytes(modulus)]
 
 
 def _read_header(reader: Reader, expected_kind: int) -> tuple[Mode, TransparentSuite]:
@@ -408,40 +393,32 @@ def _read_header(reader: Reader, expected_kind: int) -> tuple[Mode, TransparentS
     kind = reader.u8()
     if kind != expected_kind:
         raise WireError(f"expected object kind {expected_kind}, got {kind}")
-    mode = _mode_from_byte(reader.u8())
+    mode_byte = reader.u8()
+    if mode_byte >= len(_MODES):
+        raise WireError(f"unknown mode byte {mode_byte}")
     suite_id = reader.u8()
     if suite_id != TransparentSuite.suite_id:
         raise WireError(f"unknown suite id {suite_id}")
     p = int.from_bytes(reader.bytes_(), "big")
-    return mode, TransparentSuite(p)
+    return _MODES[mode_byte], TransparentSuite(p)
 
 
-def _pack_residue(value: int, suite: TransparentSuite) -> bytes:
-    """One fixed-width field: an exponent, or an element's discrete log."""
-    return value.to_bytes(suite.scalar_width, "big")
+def _pack_fields(values, suite: TransparentSuite) -> bytes:
+    """Fixed-width fields: exponents, or elements' discrete logs."""
+    width = suite.scalar_width
+    return b"".join([value.to_bytes(width, "big") for value in values])
 
 
-def _read_residue(reader: Reader, suite: TransparentSuite) -> int:
-    """One fixed-width field; values >= p are rejected, never reduced."""
-    value = int.from_bytes(reader.raw(suite.scalar_width), "big")
-    if value >= suite.p:
-        raise WireError(f"field value {value} out of range for modulus {suite.p}")
-    return value
-
-
-def _read_source(reader: Reader, suite: TransparentSuite) -> SourceElement:
-    return suite.source_from_log(_read_residue(reader, suite))
-
-
-def _read_target(reader: Reader, suite: TransparentSuite) -> TargetElement:
-    return suite.target_from_log(_read_residue(reader, suite))
-
-
-def _pack_cover(cover: TimeCover) -> bytes:
-    out = pack_u16(len(cover))
-    for node in cover.nodes:
-        out += pack_str(node.text())
-    return out
+def _read_fields(reader: Reader, suite: TransparentSuite, count: int) -> list[int]:
+    """count fixed-width fields; values >= p are rejected, never reduced."""
+    width, p = suite.scalar_width, suite.p
+    values = []
+    for _ in range(count):
+        value = int.from_bytes(reader.raw(width), "big")
+        if value >= p:
+            raise WireError(f"field value {value} out of range for modulus {p}")
+        values.append(value)
+    return values
 
 
 def _read_cover(reader: Reader) -> TimeCover:
@@ -451,13 +428,13 @@ def _read_cover(reader: Reader) -> TimeCover:
 
 
 def pk_to_bytes(pk: PublicParams) -> bytes:
-    out = _pack_header(_KIND_PK, pk.mode, pk.suite)
-    out += pack_u16(len(pk.universe)) + pack_u8(pk.depth)
-    for label in pk.universe:
-        out += pack_str(label)
-    for el in (*pk.source_elements(), pk.e_gg_alpha):
-        out += _pack_residue(el.log, pk.suite)
-    return out
+    return b"".join([
+        *_header(_KIND_PK, pk.mode, pk.suite),
+        pack_u16(len(pk.universe)),
+        pack_u8(pk.depth),
+        *map(pack_str, pk.universe),
+        _pack_fields([el.log for el in (*pk.source_elements(), pk.e_gg_alpha)], pk.suite),
+    ])
 
 
 def pk_from_bytes(data: bytes) -> PublicParams:
@@ -470,40 +447,23 @@ def pk_from_bytes(data: bytes) -> PublicParams:
         universe = _normalize_universe(labels)
     except ValueError as exc:
         raise WireError(f"public key universe: {exc}") from None
-    g = _read_source(reader, suite)
-    g_alpha = _read_source(reader, suite)
-    g_alpha_sq = _read_source(reader, suite)
-    g_inv_alpha = _read_source(reader, suite)
-    g_beta = _read_source(reader, suite)
-    g_beta_sq = _read_source(reader, suite)
-    h_beta = tuple(_read_source(reader, suite) for _ in range(size))
-    v = tuple(_read_source(reader, suite) for _ in range(depth + 1))
-    e_gg_alpha = _read_target(reader, suite)
+    *logs, e_gg_alpha = _read_fields(reader, suite, 6 + size + depth + 2)
     reader.require_exhausted()
+    sources = [suite.source_from_log(log) for log in logs]
     return PublicParams(
-        suite=suite,
-        mode=mode,
-        universe=universe,
-        depth=depth,
-        g=g,
-        g_alpha=g_alpha,
-        g_alpha_sq=g_alpha_sq,
-        g_inv_alpha=g_inv_alpha,
-        g_beta=g_beta,
-        g_beta_sq=g_beta_sq,
-        e_gg_alpha=e_gg_alpha,
-        h_beta=h_beta,
-        v=v,
+        suite, mode, universe, depth, *sources[:6],
+        e_gg_alpha=suite.target_from_log(e_gg_alpha),
+        h_beta=tuple(sources[6 : 6 + size]),
+        v=tuple(sources[6 + size :]),
     )
 
 
 def mk_to_bytes(mk: MasterKey, suite: TransparentSuite, mode: Mode) -> bytes:
-    return (
-        _pack_header(_KIND_SK, mode, suite)
-        + pack_u8(_MARKER_MK)
-        + _pack_residue(mk.alpha, suite)
-        + _pack_residue(mk.beta, suite)
-    )
+    return b"".join([
+        *_header(_KIND_SK, mode, suite),
+        pack_u8(_MARKER_MK),
+        _pack_fields((mk.alpha, mk.beta), suite),
+    ])
 
 
 def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
@@ -511,24 +471,25 @@ def mk_from_bytes(data: bytes) -> tuple[MasterKey, Mode, TransparentSuite]:
     mode, suite = _read_header(reader, _KIND_SK)
     if reader.u8() != _MARKER_MK:
         raise WireError("not a master key")
-    alpha = _read_residue(reader, suite)
+    [alpha] = _read_fields(reader, suite, 1)
     if not alpha:
         raise WireError("master key has a zero alpha")
-    beta = _read_residue(reader, suite)
+    [beta] = _read_fields(reader, suite, 1)
     reader.require_exhausted()
     return MasterKey(alpha, beta), mode, suite
 
 
 def sk_to_bytes(sk: PrivateKey) -> bytes:
     suite = sk.d0_prime.suite
-    out = _pack_header(_KIND_SK, sk.mode, suite)
-    out += pack_u8(_MARKER_SK)
-    out += _pack_residue(sk.pid, suite)
-    out += pack_str(lsss.policy_text(sk.access.policy))
-    out += _pack_cover(sk.cover)
-    for el in (sk.d0, *sk.source_elements()):
-        out += _pack_residue(el.log, suite)
-    return out
+    return b"".join([
+        *_header(_KIND_SK, sk.mode, suite),
+        pack_u8(_MARKER_SK),
+        _pack_fields((sk.pid,), suite),
+        pack_str(lsss.policy_text(sk.access.policy)),
+        pack_u16(len(sk.cover)),
+        *map(pack_str, sk.cover.texts()),
+        _pack_fields([el.log for el in (sk.d0, *sk.source_elements())], suite),
+    ])
 
 
 def sk_from_bytes(data: bytes) -> PrivateKey:
@@ -539,7 +500,7 @@ def sk_from_bytes(data: bytes) -> PrivateKey:
         raise WireError("private key in the retired matrix format, reissue it")
     if marker != _MARKER_SK:
         raise WireError("not a private key")
-    pid = _read_residue(reader, suite)
+    [pid] = _read_fields(reader, suite, 1)
     if not pid:
         raise WireError("private key has a zero pseudo-identity")
     try:
@@ -547,36 +508,27 @@ def sk_from_bytes(data: bytes) -> PrivateKey:
     except lsss.PolicyError as exc:
         raise WireError(f"private key policy: {exc}") from None
     cover = _read_cover(reader)
-    d0 = _read_target(reader, suite)
-    d0_prime = _read_source(reader, suite)
-    d_time = tuple(_read_source(reader, suite) for _ in range(len(cover)))
-    rows = tuple(
-        (_read_source(reader, suite), _read_source(reader, suite))
-        for _ in range(access.rows)
-    )
+    n = len(cover)
+    d0, *logs = _read_fields(reader, suite, 2 + n + 2 * access.rows)
     reader.require_exhausted()
+    sources = [suite.source_from_log(log) for log in logs]
     return PrivateKey(
-        mode=mode,
-        pid=pid,
-        access=access,
-        cover=cover,
-        d0=d0,
-        d0_prime=d0_prime,
-        d_time=d_time,
-        rows=rows,
+        mode, pid, access, cover, suite.target_from_log(d0), sources[0],
+        d_time=tuple(sources[1 : 1 + n]),
+        rows=tuple(zip(sources[1 + n :: 2], sources[2 + n :: 2])),
     )
 
 
 def ct_to_bytes(ct: Ciphertext) -> bytes:
     suite = ct.c0_prime.suite
-    out = _pack_header(_KIND_CT, ct.mode, suite)
-    out += pack_u16(len(ct.attributes))
-    for attribute in ct.attributes:
-        out += pack_str(attribute)
-    out += _pack_cover(ct.cover)
-    for el in (ct.c0, *ct.source_elements()):
-        out += _pack_residue(el.log, suite)
-    return out
+    return b"".join([
+        *_header(_KIND_CT, ct.mode, suite),
+        pack_u16(len(ct.attributes)),
+        *map(pack_str, ct.attributes),
+        pack_u16(len(ct.cover)),
+        *map(pack_str, ct.cover.texts()),
+        _pack_fields([el.log for el in (ct.c0, *ct.source_elements())], suite),
+    ])
 
 
 def ct_from_bytes(data: bytes) -> Ciphertext:
@@ -585,18 +537,10 @@ def ct_from_bytes(data: bytes) -> Ciphertext:
     n_attrs = reader.u16()
     attributes = tuple(reader.str_() for _ in range(n_attrs))
     cover = _read_cover(reader)
-    c0 = _read_target(reader, suite)
-    c0_prime = _read_source(reader, suite)
-    c_time = tuple(
-        (_read_source(reader, suite), _read_source(reader, suite))
-        for _ in range(len(cover))
-    )
+    c0, *logs = _read_fields(reader, suite, 2 + 2 * len(cover))
     reader.require_exhausted()
+    sources = [suite.source_from_log(log) for log in logs]
     return Ciphertext(
-        mode=mode,
-        attributes=attributes,
-        cover=cover,
-        c0=c0,
-        c0_prime=c0_prime,
-        c_time=c_time,
+        mode, attributes, cover, suite.target_from_log(c0), sources[0],
+        c_time=tuple(zip(sources[1::2], sources[2::2])),
     )

@@ -68,7 +68,7 @@ class SecureChannelStub:
 
 
 class SubscriptionService:
-    """Provider-side state: scheme handles, a clock, and a channel."""
+    """Provider-side state: scheme handles, a clock, and a channel stub."""
 
     def __init__(
         self,
@@ -78,14 +78,13 @@ class SubscriptionService:
         clock: Day,
         *,
         rng: Random,
-        channel: SecureChannelStub | None = None,
     ):
         self.scheme = scheme
         self.pk = pk
         self.mk = mk
         self.clock = clock
         self.rng = rng
-        self.channel = channel or SecureChannelStub()
+        self.channel = SecureChannelStub()
 
     def subscribe(
         self, user: str, window: TimeWindow, policy: str, nonce: bytes = b""

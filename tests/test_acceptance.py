@@ -20,7 +20,7 @@ from support import (
     satisfying_set,
     violating_set,
 )
-from tskpabe.audit import predicted_counts, predicted_pairings
+from tskpabe.audit import audit_decryption, predicted_counts, predicted_pairings
 from tskpabe.cli import main
 from tskpabe.envelope import (
     ContentPackage,
@@ -198,7 +198,7 @@ def test_criterion_5_algebra_audit():
                 attrs = sorted(satisfying_set(formula, rng))
                 ct_cover = TimeCover((rng.choice(cover.nodes),))
                 ct = scheme.encrypt(pk, suite.random_target(rng), ct_cover, attrs, rng=rng)
-                report = scheme.audit(pk, ct, sk)
+                report = audit_decryption(scheme, pk, ct, sk)
                 abc = recompute_steps_abc_logs(pk, ct, sk, report.node)
                 for label in ("a", "b", "c"):
                     step = report.step(label)

@@ -53,8 +53,8 @@ def samples() -> list:
         mk,
         sub.key,
         package.wrapped_key,
-        kp.audit(pk, package.wrapped_key, sub.key).steps[0],
-        kp.audit(pk, package.wrapped_key, sub.key),
+        audit.audit_decryption(kp, pk, package.wrapped_key, sub.key).steps[0],
+        audit.audit_decryption(kp, pk, package.wrapped_key, sub.key),
         package,
         directory.entries[0],
         directory,

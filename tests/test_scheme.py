@@ -10,7 +10,7 @@ from support import (
     recompute_step_d_logs,
     satisfying_set,
 )
-from tskpabe.audit import predicted_counts, predicted_pairings
+from tskpabe.audit import audit_decryption, predicted_counts, predicted_pairings
 from tskpabe.groups import (
     OpCounters,
     SuiteMismatchError,
@@ -344,7 +344,7 @@ def test_paper_mode_misses_by_the_audited_residual():
     pk, _, sk, ct, message = make_instance(scheme)
     value = scheme.decrypt(pk, ct, sk)
     assert value is not None and value != message
-    report = scheme.audit(pk, ct, sk)
+    report = audit_decryption(scheme, pk, ct, sk)
     assert value * report.step("d").residual == message
 
 
@@ -414,7 +414,7 @@ def test_suite_mismatch_rejected():
 def test_audit_repaired_all_steps_close():
     scheme = make_scheme()
     pk, _, sk, ct, _ = make_instance(scheme)
-    report = scheme.audit(pk, ct, sk)
+    report = audit_decryption(scheme, pk, ct, sk)
     assert [s.step for s in report.steps] == ["a", "b", "c", "d"]
     assert report.all_closed
     for step in report.steps:
@@ -424,7 +424,7 @@ def test_audit_repaired_all_steps_close():
 def test_audit_paper_isolates_attribute_product():
     scheme = make_scheme(Mode.PAPER)
     pk, _, sk, ct, _ = make_instance(scheme)
-    report = scheme.audit(pk, ct, sk)
+    report = audit_decryption(scheme, pk, ct, sk)
     assert report.step("a").closed
     assert report.step("b").closed
     assert report.step("c").closed
@@ -442,7 +442,7 @@ def test_audit_paper_residual_closed_form():
     # with A the exponent of c1_tau.
     scheme = make_scheme(Mode.PAPER)
     pk, _, sk, ct, _ = make_instance(scheme)
-    report = scheme.audit(pk, ct, sk)
+    report = audit_decryption(scheme, pk, ct, sk)
     p = scheme.suite.p
     beta = pk.g_beta.log
     assert beta != 0
@@ -468,7 +468,7 @@ def test_audit_requires_decryptable_instance():
     sk = scheme.keygen(pk, mk, 5, cover, access, rng=rng)
     ct = scheme.encrypt(pk, scheme.suite.random_target(rng), cover, ["a"], rng=rng)
     with pytest.raises(ValueError, match="not decryptable"):
-        scheme.audit(pk, ct, sk)
+        audit_decryption(scheme, pk, ct, sk)
 
 
 # ----------------------------------------------------------------------
@@ -521,12 +521,34 @@ def test_serialized_modes_stay_incompatible():
 
 def test_truncated_serialization_rejected():
     scheme = make_scheme()
-    pk, _, _, _, _ = make_instance(scheme)
+    pk, mk, sk, ct, _ = make_instance(scheme)
+    cases = [
+        (pk_from_bytes, pk_to_bytes(pk)),
+        (mk_from_bytes, mk_to_bytes(mk, scheme.suite, scheme.mode)),
+        (sk_from_bytes, sk_to_bytes(sk)),
+        (ct_from_bytes, ct_to_bytes(ct)),
+    ]
+    for decode, data in cases:
+        for end in range(len(data)):
+            with pytest.raises(WireError):
+                decode(data[:end])
+        with pytest.raises(WireError, match="1 trailing bytes"):
+            decode(data + b"\x00")
+
+
+def test_largest_public_key_roundtrips():
+    scheme = make_scheme()
+    size, depth = 0xFFFF, 0xFF
+    pk, _ = scheme.setup(size, depth=depth, rng=Random(3))
     data = pk_to_bytes(pk)
-    with pytest.raises(ValueError):
-        pk_from_bytes(data[:-1])
-    with pytest.raises(ValueError):
-        pk_from_bytes(data + b"\x00")
+    loaded = pk_from_bytes(data)
+    assert loaded == pk
+    assert pk_to_bytes(loaded) == data
+    width = scheme.suite.scalar_width
+    header = 12 + width + 3  # magic .. modulus, then u16 universe size and u8 depth
+    labels = sum(4 + len(label) for label in pk.universe)
+    assert len(data) == header + labels + (size + depth + 8) * width
+    assert loaded.h_beta_for(f"attr{size}") == loaded.h_beta[-1]
 
 
 # SHA-256 of pk, mk, sk and ct bytes and of the decrypted message's
