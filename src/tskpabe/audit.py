@@ -53,19 +53,19 @@ def audit_decryption(
     scheme._check_pk(pk)
     scheme._check_pair_compat(ct, sk)
     suite = scheme.suite
-    matches = scheme._matching_nodes(ct, sk)
-    omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes) if matches else None
+    common = scheme._common_node(ct, sk)
+    omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes) if common else None
     if omegas is None:
         raise ValueError("instance is not decryptable, nothing to audit")
-    node = matches[0]
+    node, i_key, i_ct = common
     p = suite.p
     g = pk.g
     alpha = pk.g_alpha.log
     beta = pk.g_beta.log
     x = ct.c0_prime.log * pow(alpha * alpha % p, -1, p) % p
     w = sk.d0_prime.log * alpha % p
-    d_time = sk.d_time[sk.cover.nodes.index(node)]
-    c0_tau, c1_tau = ct.c_time[ct.cover.nodes.index(node)]
+    d_time = sk.d_time[i_key]
+    c0_tau, c1_tau = ct.c_time[i_ct]
     v_tau = c0_tau.log
     e_gg = suite.gt_generator()
     g_w = g**w

@@ -15,7 +15,9 @@ Exponents are plain ints: raising an element to any int reduces it mod p,
 and the random and hashed draws return residues in [0, p).
 
 The suite carries operation counters so callers can account for the exact
-number of pairings and exponentiations a computation performed.
+number of pairings and exponentiations a computation performed: each
+pairing, exponentiation and product bumps its counter once, and no element
+or intermediate result is cached, so the counts are the paper's cost model.
 """
 
 from random import Random
@@ -87,8 +89,6 @@ class _Element:
 
     __slots__ = ("suite", "log")
 
-    _exp_counter = ""  # overridden per group
-
     def __init__(self, suite: "TransparentSuite", log: int):
         self.suite = suite
         self.log = log % suite.p
@@ -102,16 +102,12 @@ class _Element:
             raise SuiteMismatchError("elements from different suites")
 
     def __mul__(self, other):
-        self._check(other)
-        self.suite.counters.multiplications += 1
-        return type(self)(self.suite, self.log + other.log)
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        counters = self.suite.counters
-        setattr(counters, self._exp_counter, getattr(counters, self._exp_counter) + 1)
-        return type(self)(self.suite, self.log * exponent)
+        suite = self.suite
+        # Equal but distinct suites, and anything else, take the full check.
+        if type(other) is not type(self) or other.suite is not suite:
+            self._check(other)
+        suite.counters.multiplications += 1
+        return type(self)(suite, self.log + other.log)
 
     def inverse(self):
         return self ** (self.suite.p - 1)
@@ -134,11 +130,25 @@ class _Element:
 
 
 class SourceElement(_Element):
-    _exp_counter = "source_exponentiations"
+    __slots__ = ()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        suite = self.suite
+        suite.counters.source_exponentiations += 1
+        return SourceElement(suite, self.log * exponent)
 
 
 class TargetElement(_Element):
-    _exp_counter = "target_exponentiations"
+    __slots__ = ()
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        suite = self.suite
+        suite.counters.target_exponentiations += 1
+        return TargetElement(suite, self.log * exponent)
 
 
 class TransparentSuite:
@@ -235,10 +245,11 @@ class TransparentSuite:
         return TargetElement(self, rng.randrange(self.p))
 
     def pair(self, a: SourceElement, b: SourceElement) -> TargetElement:
-        if not isinstance(a, SourceElement) or not isinstance(b, SourceElement):
-            raise SuiteMismatchError("pairing arguments must be source elements")
-        if a.suite != self or b.suite != self:
-            raise SuiteMismatchError("pairing arguments from a different suite")
+        if not (type(a) is type(b) is SourceElement and a.suite is self and b.suite is self):
+            if not isinstance(a, SourceElement) or not isinstance(b, SourceElement):
+                raise SuiteMismatchError("pairing arguments must be source elements")
+            if a.suite != self or b.suite != self:
+                raise SuiteMismatchError("pairing arguments from a different suite")
         self.counters.pairings += 1
         return TargetElement(self, a.log * b.log)
 

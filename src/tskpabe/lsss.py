@@ -75,6 +75,13 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def names_attribute(label: str) -> bool:
+    """Whether a policy can name ``label``: it is one identifier token and
+    not the keyword AND or OR, in any case."""
+    m = _TOKEN_RE.fullmatch(label)
+    return m is not None and m.group(3) == label and label.upper() not in ("AND", "OR")
+
+
 def parse_policy(text: str) -> "Leaf | Gate":
     """Parse ``ident``, ``AND``, ``OR`` and parentheses.  AND binds tighter."""
     tokens = _tokenize(text)

@@ -221,8 +221,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     ``request t=N requester=ID name=NAME``,
     ``tamper t=N node=ID name=NAME``,
     ``relink t=N a=ID b=ID latency=N`` and ``unlink t=N a=ID b=ID``.
-    ``#`` starts a comment.  ``chunk-size`` must be at least 1 and
-    ``hop-budget`` at least 0.
+    ``#`` starts a comment.  ``chunk-size`` must be at least 1,
+    ``hop-budget`` at least 0, and ``seed`` from 0 to 2**64 - 1, since the
+    directory secrets encode it in 8 bytes.
     """
     seed, chunk_size, hop_budget = 0, DEFAULT_CHUNK_SIZE, DEFAULT_HOP_BUDGET
     nodes, links, contents, schedule = [], [], [], []
@@ -235,6 +236,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         directive, rest = parts[0], parts[1:]
         if directive == "seed":
             seed = _int_field({"seed": rest[0] if rest else ""}, "seed", line_no)
+            if not 0 <= seed < 2**64:
+                raise ScenarioError(f"line {line_no}: seed must be from 0 to 2**64 - 1")
         elif directive == "chunk-size":
             chunk_size = _int_field({"v": rest[0] if rest else ""}, "v", line_no)
             if chunk_size < 1:

@@ -4,8 +4,11 @@ Keys carry a monotone policy formula (compiled to an LSSS) plus a
 set-cover of the holder's entitled days; ciphertexts carry attribute labels
 plus a set-cover of the content's decryptable days.  Decryption needs the
 attribute set to satisfy the key policy and at least one time node present
-verbatim on both sides.  Every exponent (alpha, beta, the shares, the
-pseudo-identity) is a plain int mod p; inverses are ``pow(x, -1, p)``.
+verbatim on both sides; when several match, it uses the ciphertext's
+first in cover order.  A cover holds disjoint nodes in path order, so that
+is the least node the two covers share.  Every exponent (alpha, beta, the
+shares, the pseudo-identity) is a plain int mod p; inverses are
+``pow(x, -1, p)``.
 
 Two construction variants are supported and recorded inside every key and
 ciphertext:
@@ -155,11 +158,7 @@ def _normalize_universe(universe) -> tuple[str, ...]:
     if len(set(labels)) != len(labels):
         raise ValueError("universe labels must be distinct")
     for label in labels:
-        try:
-            named = lsss.parse_policy(label) == lsss.Leaf(label)
-        except lsss.PolicyError:
-            named = False
-        if not named:
+        if not lsss.names_attribute(label):
             raise ValueError(f"universe label {label!r} is not an attribute a policy can name")
     return labels
 
@@ -322,8 +321,15 @@ class TimedKpAbe:
             )
 
     @staticmethod
-    def _matching_nodes(ct: Ciphertext, sk: PrivateKey) -> list[TimeNode]:
-        return sorted(set(sk.cover.nodes) & set(ct.cover.nodes))
+    def _common_node(ct: Ciphertext, sk: PrivateKey) -> tuple[TimeNode, int, int] | None:
+        """The ciphertext's first time node that the key's cover also holds,
+        with its position in the key's cover and in the ciphertext's."""
+        key_positions = {node.components: i for i, node in enumerate(sk.cover.nodes)}
+        for j, node in enumerate(ct.cover.nodes):
+            i = key_positions.get(node.components)
+            if i is not None:
+                return node, i, j
+        return None
 
     def _helper_k(self, pk: PublicParams, attribute: str) -> SourceElement:
         """Decryption helper, recomputed from public parameters."""
@@ -338,16 +344,16 @@ class TimedKpAbe:
         set fails the key policy or no time node matches verbatim."""
         self._check_pk(pk)
         self._check_pair_compat(ct, sk)
-        matches = self._matching_nodes(ct, sk)
-        if not matches:
+        common = self._common_node(ct, sk)
+        if common is None:
             return None
         omegas = lsss.reconstruct_coeffs(sk.access, ct.attributes)
         if omegas is None:
             return None
-        node = matches[0]
+        _, i_key, i_ct = common
         suite = self.suite
-        d_time = sk.d_time[sk.cover.nodes.index(node)]
-        c0_tau, c1_tau = ct.c_time[ct.cover.nodes.index(node)]
+        d_time = sk.d_time[i_key]
+        c0_tau, c1_tau = ct.c_time[i_ct]
         num = ct.c0 * suite.pair(d_time, c0_tau) * suite.pair(ct.c0_prime, sk.d0_prime)
         den = suite.pair(ct.c0_prime, pk.g_inv_alpha)
         inv_pid = pow(sk.pid, -1, suite.p)

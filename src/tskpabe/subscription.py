@@ -49,26 +49,8 @@ class SubscriptionRecord(Record):
     key: PrivateKey
 
 
-class SecureChannelStub:
-    """Stand-in for the authenticated delivery channel: it records that
-    both ends identified each other and the payload arrived intact."""
-
-    def __init__(self):
-        self.deliveries: list[dict] = []
-
-    def deliver(self, recipient: str, payload) -> dict:
-        receipt = {
-            "recipient": recipient,
-            "mutually_authenticated": True,
-            "integrity_protected": True,
-            "payload_kind": type(payload).__name__,
-        }
-        self.deliveries.append(receipt)
-        return receipt
-
-
 class SubscriptionService:
-    """Provider-side state: scheme handles, a clock, and a channel stub."""
+    """Provider-side state: scheme handles and a clock."""
 
     def __init__(
         self,
@@ -84,7 +66,6 @@ class SubscriptionService:
         self.mk = mk
         self.clock = clock
         self.rng = rng
-        self.channel = SecureChannelStub()
 
     def subscribe(
         self, user: str, window: TimeWindow, policy: str, nonce: bytes = b""
@@ -104,7 +85,7 @@ class SubscriptionService:
         key = self.scheme.keygen(
             self.pk, self.mk, pid.scalar, cover, access, rng=self.rng
         )
-        record = SubscriptionRecord(
+        return SubscriptionRecord(
             user=user,
             window=window,
             policy=policy,
@@ -112,8 +93,6 @@ class SubscriptionService:
             pseudo_identity=pid,
             key=key,
         )
-        self.channel.deliver(user, record)
-        return record
 
 
 # ----------------------------------------------------------------------

@@ -253,10 +253,3 @@ def set_cover(window: TimeWindow) -> TimeCover:
         day = next_day(node_end)
     return TimeCover(tuple(nodes))
 
-
-def worst_case_cover_size(years: int) -> int:
-    """Largest possible cover for a window touching the given number of years:
-    60 day nodes, 22 month nodes, and one year node per fully enclosed year."""
-    if years < 1:
-        raise ValueError("years must be >= 1")
-    return 60 + 22 + (years - 1)

@@ -1,10 +1,11 @@
 """Shared test helpers: independent oracles and generators.
 
 The oracles here deliberately avoid the production code paths they check:
-the cover-size oracle is a dynamic program over day positions, the day
-arithmetic comes from ``datetime`` and ``calendar``, the formula helpers
-work on the parsed tree only, and the share matrix is the vector-labelling
-construction that ``lsss.share``'s tree walk stands in for.
+the cover-size oracle is a dynamic program over day positions, the
+worst-case cover size is a closed-form bound, the day arithmetic comes
+from ``datetime`` and ``calendar``, the formula helpers work on the parsed
+tree only, and the share matrix is the vector-labelling construction that
+``lsss.share``'s tree walk stands in for.
 """
 
 import datetime
@@ -47,6 +48,14 @@ def min_cover_size_dp(window: TimeWindow) -> int:
                     best = min(best, dp[i + year_len] + 1)
         dp[i] = best
     return dp[0]
+
+
+def worst_case_cover_size(years: int) -> int:
+    """Largest possible cover for a window touching the given number of years:
+    60 day nodes, 22 month nodes, and one year node per fully enclosed year."""
+    if years < 1:
+        raise ValueError("years must be >= 1")
+    return 60 + 22 + (years - 1)
 
 
 def random_window(rng: Random, lo_day, hi_day) -> TimeWindow:

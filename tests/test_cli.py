@@ -935,6 +935,8 @@ _BAD_SCENARIOS = {
     "zero_chunk": "chunk-size 0\n" + _SCENARIO,
     "negative_chunk": "chunk-size -5\n" + _SCENARIO,
     "negative_budget": "hop-budget -1\n" + _SCENARIO,
+    "negative_seed": "seed -1\n" + _SCENARIO,
+    "wide_seed": f"seed {2**64}\n" + _SCENARIO,
     "ghost_unlink": _SCENARIO + "unlink t=2 a=ghost b=rsu1\n",
     "short_log": "ev=served seq=1\n",
 }
@@ -971,6 +973,8 @@ _BAD_SCENARIOS = {
         (["sim", "run", "{zero_chunk}"], 1, "error: line 1: chunk-size must be >= 1"),
         (["sim", "run", "{negative_chunk}"], 1, "error: line 1: chunk-size must be >= 1"),
         (["sim", "run", "{negative_budget}"], 1, "error: line 1: hop-budget must be >= 0"),
+        (["sim", "run", "{negative_seed}"], 1, "error: line 1: seed must be from 0 to 2**64 - 1"),
+        (["sim", "run", "{wide_seed}"], 1, "error: line 1: seed must be from 0 to 2**64 - 1"),
         (["sim", "run", "{ghost_unlink}"], 1, "error: unlink references unknown node 'ghost'"),
         (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
         (["setup", "--depth", "300", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
@@ -988,7 +992,7 @@ _BAD_SCENARIOS = {
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
-         "negative-hop-budget", "unlink-unknown-node", "malformed-event-log", "wide-depth",
+         "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "malformed-event-log", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):

@@ -137,6 +137,53 @@ def test_source_target_cannot_mix(suite):
         suite.generator() * suite.gt_generator()
 
 
+def test_equal_distinct_suites_interoperate(suite):
+    twin = TransparentSuite(P)
+    g, h = suite.generator() ** 3, twin.generator() ** 5
+    assert g * h == suite.source_from_log(8)
+    assert suite.pair(g, h) == twin.pair(h, g) == suite.target_from_log(15)
+    assert suite.gt_generator() * twin.gt_generator() == twin.target_from_log(2)
+
+
+def test_mixing_errors_name_the_mismatch(suite):
+    other = TransparentSuite(103)
+    g, gt = suite.generator(), suite.gt_generator()
+    with pytest.raises(SuiteMismatchError, match="^cannot combine SourceElement with TargetElement$"):
+        g * gt
+    with pytest.raises(SuiteMismatchError, match="^cannot combine TargetElement with SourceElement$"):
+        gt * g
+    with pytest.raises(SuiteMismatchError, match="^cannot combine SourceElement with int$"):
+        g * 3
+    with pytest.raises(SuiteMismatchError, match="^elements from different suites$"):
+        g * other.generator()
+    with pytest.raises(SuiteMismatchError, match="^elements from different suites$"):
+        gt * other.gt_generator()
+    with pytest.raises(SuiteMismatchError, match="^pairing arguments must be source elements$"):
+        suite.pair(g, gt)
+    with pytest.raises(SuiteMismatchError, match="^pairing arguments from a different suite$"):
+        suite.pair(g, other.generator())
+
+
+def test_exponent_must_be_an_int(suite):
+    g = suite.generator()
+    with pytest.raises(TypeError):
+        g**1.5
+    with pytest.raises(TypeError):
+        suite.gt_generator() ** 1.5
+    before = suite.counters.snapshot()
+    assert g**True == g
+    assert suite.counters.since(before) == OpCounters(source_exponentiations=1)
+
+
+@given(x=st.integers(-3 * P, 3 * P), y=st.integers(-3 * P, 3 * P))
+def test_logs_stay_reduced(x, y):
+    suite = TransparentSuite(P)
+    a, b = suite.source_from_log(x), suite.source_from_log(y)
+    s, t = suite.target_from_log(x), suite.target_from_log(y)
+    results = (a, s, a * b, s * t, a**y, s**y, a.inverse(), s.inverse(), suite.pair(a, b))
+    assert all(0 <= r.log < P for r in results)
+
+
 def test_suite_equality_by_order():
     assert TransparentSuite(P) == TransparentSuite(P)
     assert TransparentSuite(P) != TransparentSuite(103)

@@ -339,6 +339,60 @@ def test_denial_runs_no_group_operations():
         assert scheme.suite.counters.since(before) == OpCounters()
 
 
+# The paper's cost model on one scripted instance: (pairings, source
+# exponentiations, target exponentiations, multiplications) per algorithm.
+# The key covers 2022-07, 2022-08, 2022-09-01 and 2022-09-02; the content
+# covers 2022-08 and 2022-09-01, so two nodes match and one is used.
+COST_MODEL = {
+    Mode.PAPER: {
+        "setup": (1, 8, 1, 0),
+        "keygen": (0, 21, 1, 13),
+        "encrypt": (0, 12, 1, 10),
+        "decrypt": (7, 4, 3, 9),
+        "denied-time": (0, 0, 0, 0),
+        "denied-policy": (0, 0, 0, 0),
+    },
+    Mode.REPAIRED: {
+        "setup": (1, 8, 1, 0),
+        "keygen": (0, 21, 1, 10),
+        "encrypt": (0, 12, 1, 10),
+        "decrypt": (7, 4, 3, 7),
+        "denied-time": (0, 0, 0, 0),
+        "denied-policy": (0, 0, 0, 0),
+    },
+}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_operation_counts_known_answer(mode):
+    scheme = make_scheme(mode)
+    suite = scheme.suite
+    rng = Random(5)
+    deltas = {}
+
+    def counted(step, fn, *args, **kwargs):
+        before = suite.counters.snapshot()
+        result = fn(*args, **kwargs)
+        deltas[step] = suite.counters.since(before)
+        return result
+
+    pk, mk = counted("setup", scheme.setup, ["gold", "family", "platinum"], depth=4, rng=rng)
+    access = compile_policy("(gold OR platinum) AND family", P)
+    sk = counted("keygen", scheme.keygen, pk, mk, 12345, set_cover(SUBSCRIPTION_WINDOW),
+                 access, rng=rng)
+    message = suite.random_target(rng)
+    ct_cover = set_cover(TimeWindow.parse("2022-08-01..2022-09-01"))
+    ct = counted("encrypt", scheme.encrypt, pk, message, ct_cover, ["gold", "family"], rng=rng)
+    recovered = counted("decrypt", scheme.decrypt, pk, ct, sk)
+    assert (recovered == message) is (mode is Mode.REPAIRED)
+    late = scheme.encrypt(pk, message, set_cover(TimeWindow.parse("2022-10-01..2022-10-31")),
+                          ["gold", "family"], rng=rng)
+    assert counted("denied-time", scheme.decrypt, pk, late, sk) is None
+    weak = scheme.encrypt(pk, message, ct_cover, ["gold", "platinum"], rng=rng)
+    assert counted("denied-policy", scheme.decrypt, pk, weak, sk) is None
+    assert deltas == {step: OpCounters(*counts) for step, counts in COST_MODEL[mode].items()}
+
+
 def test_paper_mode_misses_by_the_audited_residual():
     scheme = make_scheme(Mode.PAPER)
     pk, _, sk, ct, message = make_instance(scheme)

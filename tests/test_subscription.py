@@ -13,7 +13,6 @@ from tskpabe.subscription import (
     InfotainmentAgent,
     LedgerEntry,
     RevocationLedger,
-    SecureChannelStub,
     SubscriptionService,
     derive_pseudo_id,
 )
@@ -61,7 +60,6 @@ def test_subscribe_issues_key_over_window_cover(provider):
     assert len(record.key.d_time) == 4
     assert record.key.pid == record.pseudo_identity.scalar
     assert record.attributes == ("family", "gold")
-    assert provider.channel.deliveries[-1]["mutually_authenticated"]
 
 
 def test_subscribe_one_day_window(provider):
@@ -339,10 +337,3 @@ def test_revocation_is_ledger_layer_not_algebraic(provider):
         rng=provider.rng,
     )
     assert scheme.decrypt(pk, ct, record.key) == message
-
-
-def test_secure_channel_stub_records_flags():
-    channel = SecureChannelStub()
-    receipt = channel.deliver("alice", {"kind": "key"})
-    assert receipt["mutually_authenticated"] and receipt["integrity_protected"]
-    assert channel.deliveries == [receipt]

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from support import from_ordinal, min_cover_size_dp, ordinal, random_window
+from support import (
+    from_ordinal,
+    min_cover_size_dp,
+    ordinal,
+    random_window,
+    worst_case_cover_size,
+)
 from tskpabe.timetree import (
     TimeCover,
     TimeNode,
@@ -17,7 +23,6 @@ from tskpabe.timetree import (
     node_window,
     parse_day,
     set_cover,
-    worst_case_cover_size,
 )
 
 
