@@ -17,9 +17,8 @@ topology edits), so a run is a pure function of its config: identical
 seeds produce byte-identical event logs, and the metrics can be recomputed
 from the log alone.  A ``Simulation`` runs once: ``run()`` hands its event
 log and metric rows to the result it returns and drops everything else
-(topology, stores, contents, directories, trees and neighbour lists), so a
-finished Simulation holds nothing and a second ``run()`` raises
-``ScenarioError``.
+(topology, stores, contents, trees and neighbour lists), so a finished
+Simulation holds nothing and a second ``run()`` raises ``ScenarioError``.
 
 Only the standard library is used.  An interest is answered from the
 requester's shortest-path tree: one full ``heapq`` Dijkstra per source,
@@ -32,24 +31,24 @@ with them by any other edit.  A *barren* node (no content's origin,
 capacity <= 0 and nothing preloaded) can never hold a copy.  One with at
 most one link, such as a vehicle hanging off a roadside unit, is left out
 of every tree and every neighbour list, asks through its neighbour's tree,
-and may hand over (unlink, relink) without clearing the cache.  Content is
-drawn as random bytes to fix its digest, but copies keep only their size
-and whether they still match, so a delivery hashes nothing.
+and may hand over (unlink, relink) without clearing the cache.  A content
+carries no bytes: it is its ``ContentConfig``, its directory hash digests
+the seed, origin, name and size, and a copy keeps only its size and
+whether it still matches, so a delivery hashes nothing.  A content may span
+at most ``MAX_CHUNKS`` chunks, which bounds the ``ev=data`` lines of one
+delivery.
 """
 
 import hashlib
-import math
 import re
 from collections import OrderedDict
 from enum import Enum
 from heapq import heappop, heappush
-from random import Random
 
 from . import Record, _set
 from .envelope import (
     DirectoryEntry,
     KeyedDigestSigner,
-    SignedDirectory,
     build_directory,
     verify_directory,
 )
@@ -141,6 +140,7 @@ SERVER_KINDS = (NodeKind.AUTHORITY, NodeKind.THIRD_PARTY)
 DEFAULT_LATENCY_MS = 10
 DEFAULT_CHUNK_SIZE = 65536
 DEFAULT_HOP_BUDGET = 1_000_000
+MAX_CHUNKS = 1 << 16  # per content, so one delivery logs at most this many ev=data
 
 
 # ----------------------------------------------------------------------
@@ -212,6 +212,16 @@ def _int_field(kv: dict, key: str, line_no: int, default: int | None = None) -> 
         raise ScenarioError(f"line {line_no}: bad integer for {key}: {kv[key]!r}") from None
 
 
+def _scalar(directive: str, rest: list[str], line_no: int) -> int:
+    """The one integer of a ``seed``, ``chunk-size`` or ``hop-budget`` line."""
+    if len(rest) != 1:
+        raise ScenarioError(f"line {line_no}: {directive} takes exactly one integer")
+    try:
+        return int(rest[0])
+    except ValueError:
+        raise ScenarioError(f"line {line_no}: bad integer for {directive}: {rest[0]!r}") from None
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse the line-oriented scenario format.
 
@@ -221,9 +231,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     ``request t=N requester=ID name=NAME``,
     ``tamper t=N node=ID name=NAME``,
     ``relink t=N a=ID b=ID latency=N`` and ``unlink t=N a=ID b=ID``.
-    ``#`` starts a comment.  ``chunk-size`` must be at least 1,
+    ``#`` starts a comment.  ``seed``, ``chunk-size`` and ``hop-budget``
+    take exactly one integer each: ``chunk-size`` at least 1,
     ``hop-budget`` at least 0, and ``seed`` from 0 to 2**64 - 1, since the
-    directory secrets encode it in 8 bytes.
+    directory secrets and hashes encode it in 8 bytes.
     """
     seed, chunk_size, hop_budget = 0, DEFAULT_CHUNK_SIZE, DEFAULT_HOP_BUDGET
     nodes, links, contents, schedule = [], [], [], []
@@ -235,15 +246,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
         parts = line.split()
         directive, rest = parts[0], parts[1:]
         if directive == "seed":
-            seed = _int_field({"seed": rest[0] if rest else ""}, "seed", line_no)
+            seed = _scalar(directive, rest, line_no)
             if not 0 <= seed < 2**64:
                 raise ScenarioError(f"line {line_no}: seed must be from 0 to 2**64 - 1")
         elif directive == "chunk-size":
-            chunk_size = _int_field({"v": rest[0] if rest else ""}, "v", line_no)
+            chunk_size = _scalar(directive, rest, line_no)
             if chunk_size < 1:
                 raise ScenarioError(f"line {line_no}: chunk-size must be >= 1")
         elif directive == "hop-budget":
-            hop_budget = _int_field({"v": rest[0] if rest else ""}, "v", line_no)
+            hop_budget = _scalar(directive, rest, line_no)
             if hop_budget < 0:
                 raise ScenarioError(f"line {line_no}: hop-budget must be >= 0")
         elif directive == "node":
@@ -328,8 +339,8 @@ link rsu3 vehicle1 latency=10
 
 
 class CachedCopy(Record):
-    """One cache's copy of a content.  ``intact``: the bytes equal the
-    content's, so its digest matches; ``pinned``: never evicted."""
+    """One cache's copy of a content.  ``intact``: unaltered, so it matches
+    the content's directory hash; ``pinned``: never evicted."""
 
     __slots__ = ("size", "intact", "pinned")
 
@@ -394,15 +405,6 @@ class SimNode(Record, frozen=False):
     store: ContentStore
 
 
-class ContentRecord(Record):
-    name: str
-    origin: str
-    category: DataCategory
-    size: int
-    digest: bytes
-    default: bool
-
-
 class RequestMetric(Record):
     """One interest's outcome; ``outcome`` is ``served`` or ``not-found``."""
 
@@ -460,11 +462,13 @@ class SimulationResult(Record):
 
 
 class Simulation:
-    """One scenario instance.  Build it, then call run() once."""
+    """One scenario instance.  Build it, then call run() once.  Building
+    checks the config, signs and verifies each origin's directory and
+    preloads the default contents; it draws no content bytes, so its time
+    and memory do not grow with the declared sizes."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        self.rng = Random(config.seed)
         self.events: list[str] = []
         self._metrics_rows: list[RequestMetric] = []
         self._integrity_events = 0
@@ -489,7 +493,7 @@ class Simulation:
         if self.nodes and not self._connected():
             raise ScenarioError("topology must be connected")
 
-        self.contents: dict[str, ContentRecord] = {}
+        self.contents: dict[str, ContentConfig] = {}
         for cc in config.contents:
             if cc.name in self.contents:
                 raise ScenarioError(f"duplicate content name {cc.name!r}")
@@ -500,20 +504,13 @@ class Simulation:
                 raise ScenarioError(f"content origin {cc.origin!r} must be a server")
             if cc.size < 0:
                 raise ScenarioError(f"content {cc.name!r} has negative size {cc.size}")
-            self.contents[cc.name] = ContentRecord(
-                name=cc.name,
-                origin=cc.origin,
-                category=cc.category,
-                size=cc.size,
-                digest=hashlib.sha256(self.rng.randbytes(cc.size)).digest(),
-                default=cc.default,
-            )
+            if -(-cc.size // config.chunk_size) > MAX_CHUNKS:
+                raise ScenarioError(
+                    f"content {cc.name!r} spans more than {MAX_CHUNKS} chunks"
+                )
+            self.contents[cc.name] = cc
 
-        self.directories: dict[str, SignedDirectory] = {}
-        self._listed: dict[str, frozenset[str]] = {}  # origin -> names in its directory
-        self._trusted: dict[str, bytes] = {}
         self._build_directories()
-        self._verify_directories()
         self._preload_defaults()
 
         # A barren node never holds a copy: no content starts there, and
@@ -550,37 +547,27 @@ class Simulation:
                     frontier.append(neighbour)
         return len(seen) == len(self.adj)
 
-    def _dir_secret(self, origin: str) -> bytes:
-        return hashlib.sha256(
-            b"directory-secret" + self.config.seed.to_bytes(8, "big") + origin.encode()
-        ).digest()
-
     def _build_directories(self) -> None:
+        """Build, sign and verify each origin's directory of its cacheable
+        contents, and log the verdict at every vehicle.  A file hash digests
+        the seed and the repr of (origin, name, size), which is unambiguous;
+        an origin's signing secret digests the seed and the origin."""
+        seed = self.config.seed.to_bytes(8, "big")
         by_origin: dict[str, list[DirectoryEntry]] = {}
         for record in self.contents.values():
-            if dispatch_protection(record.category) is Protection.AUTHENTICATED_CHANNEL:
+            if not is_cacheable(record.category):
                 continue
+            file_hash = hashlib.sha256(
+                b"directory-file" + seed + repr((record.origin, record.name, record.size)).encode()
+            ).digest()
             by_origin.setdefault(record.origin, []).append(
-                DirectoryEntry(
-                    name=record.name,
-                    file_hash=record.digest,
-                    updated_at=0,
-                    description="",
-                    category=record.category.value,
-                )
+                DirectoryEntry(record.name, file_hash, 0, "", record.category.value)
             )
-        for origin in sorted(by_origin):
-            secret = self._dir_secret(origin)
-            self._trusted[origin] = secret
-            self.directories[origin] = build_directory(
-                by_origin[origin], KeyedDigestSigner(origin, secret)
-            )
-            self._listed[origin] = frozenset(entry.name for entry in by_origin[origin])
-
-    def _verify_directories(self) -> None:
         vehicles = sorted(n for n, node in self.nodes.items() if node.kind is NodeKind.VEHICLE)
-        for origin in sorted(self.directories):
-            ok = verify_directory(self.directories[origin], self._trusted)
+        for origin in sorted(by_origin):
+            secret = hashlib.sha256(b"directory-secret" + seed + origin.encode()).digest()
+            directory = build_directory(by_origin[origin], KeyedDigestSigner(origin, secret))
+            ok = verify_directory(directory, {origin: secret})
             for vehicle in vehicles:
                 self._log(f"ev=dirverify t=0 node={vehicle} issuer={origin} ok={int(ok)}")
 
@@ -712,8 +699,8 @@ class Simulation:
         return path[-1], path, hop + bound
 
     def _copy_intact(self, node_id: str, name: str) -> bool:
-        """Whether the holder's bytes match the content's digest; reading a
-        cached copy refreshes its recency."""
+        """Whether the holder's copy matches the content's directory hash;
+        reading a cached copy refreshes its recency."""
         if node_id == self.contents[name].origin:
             return True
         copy = self.nodes[node_id].store.get(name)
@@ -730,9 +717,6 @@ class Simulation:
         if name not in self.contents:
             return self._finish_not_found(seq, at_time, requester, name)
         record = self.contents[name]
-        # Copies of listed content are checked against the directory's hash,
-        # which an intact copy matches and a tampered one does not.
-        checked = name in self._listed.get(record.origin, ())
         failed: set[str] = set()
         retries = 0
         while True:
@@ -743,10 +727,11 @@ class Simulation:
             hops = len(path) - 1
             if hops > self.config.hop_budget:
                 return self._finish_not_found(seq, at_time, requester, name)
-            intact = self._copy_intact(holder, name)
-            if checked and not intact:
-                # Corrupted copy: reject, drop it at the holder, ask the
-                # next nearest one.
+            if not self._copy_intact(holder, name):
+                # A copy is checked against its origin's directory hash, which
+                # lists every cacheable content, and only cacheable contents
+                # are ever copied.  Corrupted copy: reject, drop it at the
+                # holder, ask the next nearest one.
                 self._integrity_events += 1
                 retries += 1
                 self._log(
@@ -772,14 +757,13 @@ class Simulation:
         seq: int,
         t: int,
         requester: str,
-        record: ContentRecord,
+        record: ContentConfig,
         holder: str,
         path: list[str],
         latency: int,
         retries: int,
     ) -> RequestMetric:
-        n_chunks = max(1, math.ceil(record.size / self.config.chunk_size))
-        for chunk in range(n_chunks):
+        for chunk in range(max(1, -(-record.size // self.config.chunk_size))):
             self._log(
                 f"ev=data t={t} seq={seq} name={record.name} chunk={chunk} "
                 f"from={holder} to={requester}"
@@ -915,8 +899,7 @@ class Simulation:
         """Drop the whole run state: a finished Simulation holds nothing."""
         self.config = None
         self.events, self._metrics_rows = [], []
-        self.nodes, self.adj, self.contents, self.directories = {}, {}, {}, {}
-        self._listed, self._trusted, self._trees, self._index = {}, {}, {}, {}
+        self.nodes, self.adj, self.contents, self._trees, self._index = {}, {}, {}, {}, {}
         self._barren, self._ids, self._holdings, self._neighbours = frozenset(), (), [], None
 
 

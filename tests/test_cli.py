@@ -929,8 +929,10 @@ def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
 
 _NESTED = "(" * 1200 + "gold" + ")" * 1200
 
-# Scenarios with a setting out of range or an edit of an unknown node, and
-# an event log whose served line lacks its other fields.
+# Scenarios with a setting out of range, a content too large or at the
+# chunk bound, or an edit of an unknown node, and an event log whose served
+# line lacks its other fields.  The chunk bound holds for a chunk-size line
+# that comes after the content.
 _BAD_SCENARIOS = {
     "zero_chunk": "chunk-size 0\n" + _SCENARIO,
     "negative_chunk": "chunk-size -5\n" + _SCENARIO,
@@ -938,6 +940,9 @@ _BAD_SCENARIOS = {
     "negative_seed": "seed -1\n" + _SCENARIO,
     "wide_seed": f"seed {2**64}\n" + _SCENARIO,
     "ghost_unlink": _SCENARIO + "unlink t=2 a=ghost b=rsu1\n",
+    "huge_size": _SCENARIO.replace("size=4000", f"size={10**30}"),
+    "over_chunks": _SCENARIO.replace("size=4000", "size=65537") + "chunk-size 1\n",
+    "max_chunks": _SCENARIO.replace("size=4000", "size=65536") + "chunk-size 1\n",
     "short_log": "ev=served seq=1\n",
 }
 
@@ -976,6 +981,10 @@ _BAD_SCENARIOS = {
         (["sim", "run", "{negative_seed}"], 1, "error: line 1: seed must be from 0 to 2**64 - 1"),
         (["sim", "run", "{wide_seed}"], 1, "error: line 1: seed must be from 0 to 2**64 - 1"),
         (["sim", "run", "{ghost_unlink}"], 1, "error: unlink references unknown node 'ghost'"),
+        (["sim", "run", "{huge_size}"], 1, "error: content 'clip' spans more than 65536 chunks"),
+        (["sim", "run", "{over_chunks}"], 1,
+         "error: content 'clip' spans more than 65536 chunks"),
+        (["sim", "run", "{max_chunks}"], 0, ""),
         (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
         (["setup", "--depth", "300", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
          "error: tree depth must be <= 255, got 300"),
@@ -992,14 +1001,16 @@ _BAD_SCENARIOS = {
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
-         "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "malformed-event-log", "wide-depth",
+         "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "huge-size",
+         "over-max-chunks", "at-max-chunks", "malformed-event-log", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
     imported beforehand: the error classes load only on the error path, so
     this is where a fault in that path shows.  A wrong directory secret
-    reports ok=0 on stdout and prints nothing to stderr."""
+    reports ok=0 on stdout and a run at the chunk bound its summary; neither
+    prints to stderr."""
     short_pk = tmp_path / "short-pk.bin"
     short_pk.write_bytes(Path(workspace["pk"]).read_bytes()[:40])
     flipped = bytearray(Path(workspace["pkg"]).read_bytes())
@@ -1035,7 +1046,7 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if stderr is None:
-        assert proc.stderr == "" and "ok=0" in proc.stdout
+    if not stderr:
+        assert proc.stderr == "" and ("ok=0" if code else "served=1") in proc.stdout
     else:
         assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(stderr), proc.stderr

@@ -55,7 +55,7 @@ def build_cases(d):
     with contextlib.redirect_stdout(io.StringIO()):
         assert [main(argv) for argv in script] == [0] * len(script)
     assert "ev=integrity" in (d / "events.log").read_text()
-    files = {name: (d / name).read_bytes() for name in p if name not in ("scenario.txt", "out.bin")}
+    files = {name: (d / name).read_bytes() for name in p if name != "out.bin"}
     cases = [
         ("pk.bin", ["encrypt", "--pk", "{}", "--attrs", "gold", "--nodes", "2022-08",
                     "--out", p["out.bin"]]),
@@ -71,6 +71,7 @@ def build_cases(d):
         ("ledger.jsonl", ["revoke", "--ledger", "{}", "--pid", "pid:d4",
                           "--expiry", "2022-12-31", "--now", "2022-07-06"]),
         ("ledger.jsonl", ["prune", "--ledger", "{}", "--now", "2022-09-10"]),
+        ("scenario.txt", ["sim", "run", "{}"]),
         ("events.log", ["sim", "replay", "{}"]),
     ]
     return files, cases

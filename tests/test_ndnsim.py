@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from random import Random
 
 import pytest
@@ -312,13 +313,37 @@ def test_edits_reject_unknown_nodes(kind, a, b):
 @pytest.mark.parametrize(
     ("line", "reason"),
     [("chunk-size 0", "chunk-size must be >= 1"), ("chunk-size -5", "chunk-size must be >= 1"),
-     ("hop-budget -1", "hop-budget must be >= 0")],
+     ("hop-budget -1", "hop-budget must be >= 0"),
+     ("chunk-size x", "bad integer for chunk-size: 'x'"),
+     ("hop-budget 1.5", "bad integer for hop-budget: '1.5'"),
+     ("seed x", "bad integer for seed: 'x'"),
+     ("hop-budget", "hop-budget takes exactly one integer"),
+     ("seed 5 junk", "seed takes exactly one integer"),
+     ("chunk-size 100 7", "chunk-size takes exactly one integer")],
 )
 def test_chunk_size_and_hop_budget_bounds(line, reason):
-    with pytest.raises(ScenarioError, match=f"^line 3: {reason}$"):
+    with pytest.raises(ScenarioError, match=f"^line 3: {re.escape(reason)}$"):
         parse_scenario(f"seed 1\n\n{line}\n")
     config = parse_scenario("chunk-size 1\nhop-budget 0\n")
     assert (config.chunk_size, config.hop_budget) == (1, 0)
+
+
+def test_build_memory_does_not_grow_with_content_size():
+    """Contents carry no bytes: a 2**40-byte content builds in the memory of
+    a 1 MB one."""
+    peaks = []
+    for size in (2**20, 2**40):
+        config = parse_scenario(
+            "chunk-size 1073741824\n"
+            + line5(f"content /big origin=origin size={size} category=public-traffic\n")
+        )
+        tracemalloc.start()
+        try:
+            Simulation(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 def test_replay_matches_run():
@@ -913,8 +938,7 @@ def test_finished_simulation_holds_nothing():
     assert sim._trees and sim._neighbours and sim.nodes and sim.adj
     sim.run()
     assert sim.config is None and sim._neighbours is None
-    assert not (sim.nodes or sim.adj or sim._trees or sim.contents or sim.directories)
-    assert not (sim._listed or sim._trusted or sim._holdings)
+    assert not (sim.nodes or sim.adj or sim._trees or sim.contents or sim._holdings)
 
 
 def test_second_run_fails_closed():

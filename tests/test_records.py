@@ -39,7 +39,7 @@ def samples() -> list:
     ledger.revoke(sub.pseudo_identity.display, (2022, 9, 2), (2022, 7, 5))
     config = ndnsim.parse_scenario(SCENARIO)
     sim = ndnsim.Simulation(config)
-    node, content = sim.nodes["rsu1"], sim.contents["clip"]  # run() drops both tables
+    node = sim.nodes["rsu1"]  # run() drops the node table
     result = sim.run()
     return [
         pk.suite.counters.snapshot(),
@@ -71,7 +71,6 @@ def samples() -> list:
         config,
         ndnsim.CachedCopy(4000, pinned=True),
         node,
-        content,
         result.metrics.per_request[0],
         result.metrics,
         result,
@@ -99,10 +98,10 @@ def _copy(record):
 def test_every_record_type_is_sampled(samples):
     assert audit.AuditReport in _record_types()
     assert {type(r) for r in samples} == _record_types()
-    assert len(_record_types()) == 33
+    assert len(_record_types()) == 32
 
 
-@pytest.mark.parametrize("index", range(33))
+@pytest.mark.parametrize("index", range(32))
 def test_record_value_semantics(samples, index):
     record = samples[index]
     name = type(record).__name__
