@@ -159,3 +159,70 @@ def test_satisfying_and_violating_helpers_agree(seed):
     formula = random_formula(rng, _attrs)
     assert evaluate(formula, satisfying_set(formula, rng))
     assert not evaluate(formula, violating_set(formula, _attrs, rng))
+
+
+def _balanced(leaves: int) -> str:
+    """Canonical text of a balanced OR tree over ``leaves`` copies of x."""
+    if leaves == 1:
+        return "x"
+    return f"({_balanced(leaves // 2)} OR {_balanced(leaves - leaves // 2)})"
+
+
+# Policy text -> its canonical text, or the PolicyError message it raises.
+# An error offset points at the start of the whitespace before a bad token.
+_POLICY_KNOWN_ANSWERS = {
+    "   a AND b": "(a AND b)",
+    "\ta": "a",
+    "a AND b  ": "error: bad character in policy at offset 7: '  '",
+    "a AND b \t\n": "error: bad character in policy at offset 7: ' \\t\\n'",
+    "a AND %b": "error: bad character in policy at offset 5: ' %b'",
+    "a AND b$": "error: bad character in policy at offset 7: '$'",
+    "9a": "error: bad character in policy at offset 0: '9a'",
+    "-a": "error: bad character in policy at offset 0: '-a'",
+    "é": "error: bad character in policy at offset 0: 'é'",
+    "a and b": "(a AND b)",
+    "a Or b": "(a OR b)",
+    "a aNd b OR c": "((a AND b) OR c)",
+    "a OR b AND c OR d": "((a OR (b AND c)) OR d)",
+    "(a)AND(b)": "(a AND b)",
+    "a-b AND _c9 OR Z": "((a-b AND _c9) OR Z)",
+    "a-": "a-",
+    "AND": "error: unexpected token 'AND'",
+    "or": "error: unexpected token 'OR'",
+    "And b": "error: unexpected token 'AND'",
+    "(a OR b": "error: unbalanced parentheses",
+    "((a)": "error: unbalanced parentheses",
+    "(": "error: unexpected token None",
+    "()": "error: unexpected token ')'",
+    ")": "error: unexpected token ')'",
+    "a OR b)": "error: trailing tokens: [')']",
+    "(a))": "error: trailing tokens: [')']",
+    "a AND (b OR c))": "error: trailing tokens: [')']",
+    "a b": "error: trailing tokens: ['b']",
+    "a\xa0b": "error: trailing tokens: ['b']",
+    "(a) (b)": "error: trailing tokens: ['(', 'b', ')']",
+    "a AND b c": "error: trailing tokens: ['c']",
+    "a AND-b": "error: trailing tokens: ['AND-b']",
+    "a ANDb": "error: trailing tokens: ['ANDb']",
+    "": "error: empty policy",
+    "   ": "error: bad character in policy at offset 0: '   '",
+    "\n": "error: bad character in policy at offset 0: '\\n'",
+    "(" * 64 + "a" + ")" * 64: "a",
+    "(" * 65 + "a" + ")" * 65: "error: policy nests deeper than 64 levels",
+    "(" * 65 + "a": "error: policy nests deeper than 64 levels",
+    " AND ".join(["a"] * 65): "(" * 64 + "a" + " AND a)" * 64,
+    " AND ".join(["a"] * 66): "error: policy nests deeper than 64 levels",
+    _balanced(256): _balanced(256),
+    _balanced(257): "error: policy has more than 256 leaves",
+}
+
+
+def test_policy_known_answers():
+    """Canonical texts and error messages, pinned before the tokenizer and
+    parser were rewritten."""
+    for text, expected in _POLICY_KNOWN_ANSWERS.items():
+        try:
+            got = policy_text(compile_policy(text, P).policy)
+        except PolicyError as exc:
+            got = f"error: {exc}"
+        assert got == expected, text

@@ -2,6 +2,8 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from support import (
     ScriptedRng,
@@ -16,7 +18,7 @@ from tskpabe.groups import (
     SuiteMismatchError,
     TransparentSuite,
 )
-from tskpabe.lsss import compile_policy, reconstruct_coeffs
+from tskpabe.lsss import compile_policy, evaluate, reconstruct_coeffs
 from tskpabe.scheme import (
     Mode,
     ModeMismatchError,
@@ -391,6 +393,59 @@ def test_operation_counts_known_answer(mode):
     weak = scheme.encrypt(pk, message, ct_cover, ["gold", "platinum"], rng=rng)
     assert counted("denied-policy", scheme.decrypt, pk, weak, sk) is None
     assert deltas == {step: OpCounters(*counts) for step, counts in COST_MODEL[mode].items()}
+
+
+_COST_LABELS = tuple(f"attr{i}" for i in range(1, 9))
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@given(st.integers(0, 2**32))
+def test_operation_counts_follow_the_cost_model(mode, seed):
+    """Each algorithm's OpCounters delta equals the closed-form cost model on
+    random shapes.  l is the key's row count, T a cover, D the summed depth
+    of its nodes and I the key rows the ciphertext's labels name; each
+    tuple is (pairings, source exps, target exps, multiplications)."""
+    scheme = make_scheme(mode)
+    suite = scheme.suite
+    paper = mode is Mode.PAPER
+    rng = Random(seed)
+    pk, mk = scheme.setup(_COST_LABELS, depth=4, rng=rng)
+    formula = random_formula(rng, _COST_LABELS, max_leaves=8)
+    access = compile_policy(formula, suite.p)
+    cover = set_cover(random_window(rng, (2022, 1, 1), (2022, 12, 31)))
+    if rng.random() < 0.5:
+        ct_cover = TimeCover((rng.choice(cover.nodes),))
+    else:
+        ct_cover = set_cover(random_window(rng, (2022, 1, 1), (2022, 12, 31)))
+    attrs = {a for a in _COST_LABELS if rng.random() < 0.3}
+    if rng.random() < 0.5:
+        attrs |= satisfying_set(formula, rng)
+
+    def delta(fn, *args, **kwargs):
+        before = suite.counters.snapshot()
+        result = fn(*args, **kwargs)
+        return result, suite.counters.since(before)
+
+    rows = len(access.row_attributes)
+    t_key, d_key = len(cover), sum(node.depth for node in cover)
+    t_ct, d_ct = len(ct_cover), sum(node.depth for node in ct_cover)
+    sk, keygen_ops = delta(scheme.keygen, pk, mk, rng.randrange(1, P), cover, access, rng=rng)
+    assert keygen_ops == OpCounters(
+        0, 2 * rows + t_key + d_key + 1, 1, d_key + (rows if paper else 0)
+    )
+    message = suite.random_target(rng)
+    ct, encrypt_ops = delta(scheme.encrypt, pk, message, ct_cover, attrs, rng=rng)
+    assert encrypt_ops == OpCounters(0, 3 * t_ct + d_ct + 1, 1, 2 * t_ct + d_ct + 1)
+    recovered, decrypt_ops = delta(scheme.decrypt, pk, ct, sk)
+    labeled = sum(1 for a in access.row_attributes if a in attrs)
+    if evaluate(formula, attrs) and set(cover.nodes) & set(ct_cover.nodes):
+        assert (recovered == message) is not paper and recovered is not None
+        assert decrypt_ops == OpCounters(
+            2 * labeled + 3, 2 * labeled, labeled + 1,
+            2 * labeled + 3 + (labeled if paper else 0),
+        )
+    else:
+        assert recovered is None and decrypt_ops == OpCounters()
 
 
 def test_paper_mode_misses_by_the_audited_residual():
