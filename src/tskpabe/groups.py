@@ -18,6 +18,13 @@ The suite carries operation counters so callers can account for the exact
 number of pairings and exponentiations a computation performed: each
 pairing, exponentiation and product bumps its counter once, and no element
 or intermediate result is cached, so the counts are the paper's cost model.
+
+The four operators on the hot path (``SourceElement.__pow__``,
+``TargetElement.__pow__``, ``_Element.__mul__`` and ``TransparentSuite.pair``)
+build their result with ``object.__new__`` and the two slot stores, reducing
+the log mod p as ``__init__`` does, which skips one Python frame per result.
+Each still computes its own result and bumps its counter once, so the
+counts do not change; every other constructor goes through ``__init__``.
 """
 
 from random import Random
@@ -25,6 +32,8 @@ from random import Random
 from . import Record
 
 _HASH_LABEL = b"hash-to-scalar.v1"
+
+_new = object.__new__
 
 # Witnesses making Miller-Rabin deterministic for n < 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -107,7 +116,10 @@ class _Element:
         if type(other) is not type(self) or other.suite is not suite:
             self._check(other)
         suite.counters.multiplications += 1
-        return type(self)(suite, self.log + other.log)
+        result = _new(type(self))
+        result.suite = suite
+        result.log = (self.log + other.log) % suite.p
+        return result
 
     def inverse(self):
         return self ** (self.suite.p - 1)
@@ -137,7 +149,10 @@ class SourceElement(_Element):
             return NotImplemented
         suite = self.suite
         suite.counters.source_exponentiations += 1
-        return SourceElement(suite, self.log * exponent)
+        result = _new(SourceElement)
+        result.suite = suite
+        result.log = self.log * exponent % suite.p
+        return result
 
 
 class TargetElement(_Element):
@@ -148,7 +163,10 @@ class TargetElement(_Element):
             return NotImplemented
         suite = self.suite
         suite.counters.target_exponentiations += 1
-        return TargetElement(suite, self.log * exponent)
+        result = _new(TargetElement)
+        result.suite = suite
+        result.log = self.log * exponent % suite.p
+        return result
 
 
 class TransparentSuite:
@@ -251,7 +269,10 @@ class TransparentSuite:
             if a.suite != self or b.suite != self:
                 raise SuiteMismatchError("pairing arguments from a different suite")
         self.counters.pairings += 1
-        return TargetElement(self, a.log * b.log)
+        result = _new(TargetElement)
+        result.suite = self
+        result.log = a.log * b.log % self.p
+        return result
 
     def __repr__(self):
         return f"TransparentSuite(p={self.p})"

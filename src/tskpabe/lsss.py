@@ -19,7 +19,9 @@ the root label (1, 0, ..., 0), as Lewko and Waters observe
 ("Decentralizing Attribute-Based Encryption", Eurocrypt 2011, appendix
 G), so omega_i = 1 on those rows and 0 elsewhere gives
 sum(omega_i * lambda_i) = w.  A set that fails the formula has no such
-subtree, and no coefficients exist.
+subtree, and no coefficients exist.  ``compile_policy`` also records the
+formula in postfix order, and reconstruction runs over that with one row
+bitmask per subtree, so no decryption walks the tree.
 
 Key files carry policy text, so parsing and compiling refuse formulas
 deeper than MAX_DEPTH or with more than MAX_LEAVES leaves, which keeps
@@ -31,7 +33,9 @@ from random import Random
 
 from . import Record, _set
 
-_TOKEN_RE = re.compile(r"\s*(?:(\()|(\))|([A-Za-z_][A-Za-z0-9_\-]*))")
+# A parenthesis, an identifier, or any other character, which is an error.
+# Every position matches, so one finditer pass reads the text linearly.
+_TOKEN_RE = re.compile(r"\s*(?:([()])|([A-Za-z_][A-Za-z0-9_\-]*)|([\s\S]))")
 
 MAX_DEPTH = 64  # gates above any leaf, and parentheses open at once
 MAX_LEAVES = 256
@@ -58,20 +62,19 @@ class Gate(Record):
 
 
 def _tokenize(text: str) -> list[str]:
+    """Tokens left to right, keywords upper-cased.  An error's offset is
+    where the whitespace before the bad character starts."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
+    for m in _TOKEN_RE.finditer(text):
+        paren, word, bad = m.groups()
+        if word is not None:
+            upper = word.upper()
+            tokens.append(upper if upper == "AND" or upper == "OR" else word)
+        elif bad is None:
+            tokens.append(paren)
+        else:
+            pos = m.start()
             raise PolicyError(f"bad character in policy at offset {pos}: {text[pos:]!r}")
-        if m.group(1):
-            tokens.append("(")
-        elif m.group(2):
-            tokens.append(")")
-        elif m.group(3):
-            word = m.group(3)
-            tokens.append(word.upper() if word.upper() in ("AND", "OR") else word)
-        pos = m.end()
     return tokens
 
 
@@ -79,7 +82,7 @@ def names_attribute(label: str) -> bool:
     """Whether a policy can name ``label``: it is one identifier token and
     not the keyword AND or OR, in any case."""
     m = _TOKEN_RE.fullmatch(label)
-    return m is not None and m.group(3) == label and label.upper() not in ("AND", "OR")
+    return m is not None and m[2] == label and label.upper() not in ("AND", "OR")
 
 
 def parse_policy(text: str) -> "Leaf | Gate":
@@ -87,42 +90,39 @@ def parse_policy(text: str) -> "Leaf | Gate":
     tokens = _tokenize(text)
     if not tokens:
         raise PolicyError("empty policy")
+    end = len(tokens)
+    tokens.append(None)  # the end: every path that takes it raises
     pos = 0
     depth = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        token = peek()
-        pos += 1
-        return token
-
     def parse_or():
+        nonlocal pos
         node = parse_and()
-        while peek() == "OR":
-            take()
+        while tokens[pos] == "OR":
+            pos += 1
             node = Gate("OR", node, parse_and())
         return node
 
     def parse_and():
+        nonlocal pos
         node = parse_atom()
-        while peek() == "AND":
-            take()
+        while tokens[pos] == "AND":
+            pos += 1
             node = Gate("AND", node, parse_atom())
         return node
 
     def parse_atom():
-        nonlocal depth
-        token = take()
+        nonlocal pos, depth
+        token = tokens[pos]
+        pos += 1
         if token == "(":
             depth += 1
             if depth > MAX_DEPTH:
                 raise PolicyError(f"policy nests deeper than {MAX_DEPTH} levels")
             node = parse_or()
-            if take() != ")":
+            if tokens[pos] != ")":
                 raise PolicyError("unbalanced parentheses")
+            pos += 1
             depth -= 1
             return node
         if token in (None, ")", "AND", "OR"):
@@ -130,8 +130,8 @@ def parse_policy(text: str) -> "Leaf | Gate":
         return Leaf(token)
 
     root = parse_or()
-    if pos != len(tokens):
-        raise PolicyError(f"trailing tokens: {tokens[pos:]}")
+    if pos != end:
+        raise PolicyError(f"trailing tokens: {tokens[pos:end]}")
     return root
 
 
@@ -158,12 +158,14 @@ def policy_text(node: "Leaf | Gate") -> str:
 
 
 class AccessStructure(Record):
-    """A formula with its row-to-attribute map (row i is its i-th leaf)
-    and the modulus its shares live in."""
+    """A formula with its row-to-attribute map (row i is its i-th leaf),
+    the modulus its shares live in, and the formula in postfix order:
+    a leaf is its row index, an AND gate -1 and an OR gate -2."""
 
     row_attributes: tuple[str, ...]
     modulus: int
     policy: "Leaf | Gate"
+    program: tuple[int, ...]
 
     @property
     def rows(self) -> int:
@@ -182,6 +184,7 @@ def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure
     """
     node = parse_policy(policy if isinstance(policy, str) else policy_text(policy))
     leaves: list[str] = []
+    program: list[int] = []
 
     def collect(n, depth: int):
         if depth > MAX_DEPTH:
@@ -189,13 +192,15 @@ def compile_policy(policy: "str | Leaf | Gate", modulus: int) -> AccessStructure
         if isinstance(n, Leaf):
             if len(leaves) == MAX_LEAVES:
                 raise PolicyError(f"policy has more than {MAX_LEAVES} leaves")
+            program.append(len(leaves))
             leaves.append(n.attribute)
             return
         collect(n.left, depth + 1)
         collect(n.right, depth + 1)
+        program.append(-1 if n.op == "AND" else -2)
 
     collect(node, 0)
-    return AccessStructure(tuple(leaves), modulus, node)
+    return AccessStructure(tuple(leaves), modulus, node, tuple(program))
 
 
 def share(structure: AccessStructure, secret: int, rng: Random) -> tuple[int, ...]:
@@ -230,23 +235,23 @@ def reconstruct_coeffs(
     satisfying subtree and 0 elsewhere; an OR gate takes its left child
     when both are satisfied.
     """
-    attributes = set(attributes)
-    next_row = 0
-
-    def pick(n) -> "list[int] | None":
-        """Rows of a satisfying subtree of n, or None; numbers n's leaves."""
-        nonlocal next_row
-        if isinstance(n, Leaf):
-            next_row += 1
-            return [next_row - 1] if n.attribute in attributes else None
-        left = pick(n.left)
-        right = pick(n.right)
-        if n.op == "OR":
-            return right if left is None else left
-        return None if left is None or right is None else left + right
-
-    picked = pick(structure.policy)
-    if picked is None:
+    rows = structure.rows_for(attributes)
+    have = 0
+    for row in rows:
+        have |= 1 << row
+    # Each value is the row bitmask of a satisfying subtree, 0 for none.
+    stack = []
+    for op in structure.program:
+        if op >= 0:
+            stack.append(have & 1 << op)
+            continue
+        right = stack.pop()
+        left = stack[-1]
+        if op == -1:
+            stack[-1] = left | right if left and right else 0
+        elif not left:
+            stack[-1] = right
+    [picked] = stack
+    if not picked:
         return None
-    picked = set(picked)
-    return {row: int(row in picked) for row in structure.rows_for(attributes)}
+    return {row: picked >> row & 1 for row in rows}

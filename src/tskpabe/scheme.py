@@ -323,8 +323,9 @@ class TimedKpAbe:
     @staticmethod
     def _common_node(ct: Ciphertext, sk: PrivateKey) -> tuple[TimeNode, int, int] | None:
         """The ciphertext's first time node that the key's cover also holds,
-        with its position in the key's cover and in the ciphertext's."""
-        key_positions = {node.components: i for i, node in enumerate(sk.cover.nodes)}
+        with its position in the key's cover and in the ciphertext's.  The
+        key cover's position map is built once per cover."""
+        key_positions = sk.cover.positions
         for j, node in enumerate(ct.cover.nodes):
             i = key_positions.get(node.components)
             if i is not None:

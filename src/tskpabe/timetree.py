@@ -11,7 +11,7 @@ Days are ``(year, month, day)`` tuples on the Gregorian calendar, years
 """
 
 import re
-from functools import total_ordering
+from functools import cached_property, total_ordering
 
 from . import Record, _set
 
@@ -188,6 +188,12 @@ class TimeCover(Record):
 
     def __contains__(self, node: TimeNode) -> bool:
         return node in self.nodes
+
+    @cached_property
+    def positions(self) -> dict[tuple[int, ...], int]:
+        """Each node's label path -> its position in the cover.  Built on
+        first use; kept in the instance dict, outside the fields."""
+        return {node.components: i for i, node in enumerate(self.nodes)}
 
     def window(self) -> TimeWindow:
         return TimeWindow(node_window(self.nodes[0]).start, node_window(self.nodes[-1]).end)
