@@ -187,9 +187,21 @@ class ScenarioConfig(Record):
 
 _NAME_RE = re.compile(r"^[^\s=]+$")
 
+# The keys each scenario directive takes.
+_KEYS = {
+    "node": ("kind", "capacity"),
+    "link": ("latency",),
+    "content": ("origin", "size", "category", "default"),
+    "request": ("t", "requester", "name"),
+    "tamper": ("t", "node", "name"),
+    "relink": ("t", "a", "b", "latency"),
+    "unlink": ("t", "a", "b"),
+}
 
-def _kv(tokens: list[str], line_no: int, prefix: str = "line") -> dict[str, str]:
-    """``key=value`` tokens as a dict; an error names ``prefix`` and line."""
+
+def _kv(tokens: list[str], line_no: int, keys=None, prefix: str = "line") -> dict[str, str]:
+    """``key=value`` tokens as a dict; an error names ``prefix`` and line.
+    A repeated key is an error, and so is one outside ``keys`` if given."""
     out = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -197,6 +209,10 @@ def _kv(tokens: list[str], line_no: int, prefix: str = "line") -> dict[str, str]
             raise ScenarioError(f"{prefix} {line_no}: token {token!r} has no '='")
         if not key:
             raise ScenarioError(f"{prefix} {line_no}: token {token!r} has no key")
+        if key in out:
+            raise ScenarioError(f"{prefix} {line_no}: repeated key {key!r}")
+        if keys is not None and key not in keys:
+            raise ScenarioError(f"{prefix} {line_no}: unknown key {key!r}")
         out[key] = value
     return out
 
@@ -234,7 +250,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
     ``#`` starts a comment.  ``seed``, ``chunk-size`` and ``hop-budget``
     take exactly one integer each: ``chunk-size`` at least 1,
     ``hop-budget`` at least 0, and ``seed`` from 0 to 2**64 - 1, since the
-    directory secrets and hashes encode it in 8 bytes.
+    directory secrets and hashes encode it in 8 bytes.  A ``key=value``
+    directive takes only the keys listed, each at most once.
     """
     seed, chunk_size, hop_budget = 0, DEFAULT_CHUNK_SIZE, DEFAULT_HOP_BUDGET
     nodes, links, contents, schedule = [], [], [], []
@@ -263,7 +280,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             node_id = rest[0]
             if not _NAME_RE.match(node_id):
                 raise ScenarioError(f"line {line_no}: bad node id {node_id!r}")
-            kv = _kv(rest[1:], line_no)
+            kv = _kv(rest[1:], line_no, _KEYS[directive])
             try:
                 kind = NodeKind(kv.get("kind", ""))
             except ValueError:
@@ -274,7 +291,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         elif directive == "link":
             if len(rest) < 2:
                 raise ScenarioError(f"line {line_no}: link needs two node ids")
-            kv = _kv(rest[2:], line_no)
+            kv = _kv(rest[2:], line_no, _KEYS[directive])
             links.append(
                 LinkConfig(rest[0], rest[1], _int_field(kv, "latency", line_no, DEFAULT_LATENCY_MS))
             )
@@ -284,7 +301,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             name = rest[0]
             if not _NAME_RE.match(name):
                 raise ScenarioError(f"line {line_no}: bad content name {name!r}")
-            kv = _kv(rest[1:], line_no)
+            kv = _kv(rest[1:], line_no, _KEYS[directive])
             try:
                 category = DataCategory(kv.get("category", ""))
             except ValueError:
@@ -301,7 +318,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 )
             )
         elif directive in ("request", "tamper", "relink", "unlink"):
-            kv = _kv(rest, line_no)
+            kv = _kv(rest, line_no, _KEYS[directive])
             t = _int_field(kv, "t", line_no)
             seq += 1
             schedule.append(ScheduledOp(t, seq, directive, kv))
@@ -913,7 +930,7 @@ def metrics_from_events(events) -> Metrics:
     rows = []
     integrity = 0
     for number, line in enumerate(events, start=1):
-        fields = _kv(line.split(), number, "event line")
+        fields = _kv(line.split(), number, prefix="event line")
         try:
             ev = fields.get("ev")
             if ev == "integrity":

@@ -930,8 +930,8 @@ def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
 _NESTED = "(" * 1200 + "gold" + ")" * 1200
 
 # Scenarios with a setting out of range, a content too large or at the
-# chunk bound, or an edit of an unknown node, and an event log whose served
-# line lacks its other fields.  The chunk bound holds for a chunk-size line
+# chunk bound, an edit of an unknown node, or a repeated or unknown key, and
+# an event log whose served line lacks its other fields.  The chunk bound holds for a chunk-size line
 # that comes after the content.
 _BAD_SCENARIOS = {
     "zero_chunk": "chunk-size 0\n" + _SCENARIO,
@@ -944,6 +944,8 @@ _BAD_SCENARIOS = {
     "over_chunks": _SCENARIO.replace("size=4000", "size=65537") + "chunk-size 1\n",
     "max_chunks": _SCENARIO.replace("size=4000", "size=65536") + "chunk-size 1\n",
     "short_log": "ev=served seq=1\n",
+    "repeated_key": _SCENARIO.replace("size=4000", "size=1 size=4000"),
+    "unknown_key": _SCENARIO + "request t=2 requester=vehicle1 name=clip prio=9\n",
 }
 
 
@@ -986,6 +988,8 @@ _BAD_SCENARIOS = {
          "error: content 'clip' spans more than 65536 chunks"),
         (["sim", "run", "{max_chunks}"], 0, ""),
         (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
+        (["sim", "run", "{repeated_key}"], 1, "error: line 11: repeated key 'size'"),
+        (["sim", "run", "{unknown_key}"], 1, "error: line 13: unknown key 'prio'"),
         (["setup", "--depth", "300", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
          "error: tree depth must be <= 255, got 300"),
         (["setup", "--universe-size", "70000", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
@@ -1002,7 +1006,8 @@ _BAD_SCENARIOS = {
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
          "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "huge-size",
-         "over-max-chunks", "at-max-chunks", "malformed-event-log", "wide-depth",
+         "over-max-chunks", "at-max-chunks", "malformed-event-log", "repeated-key",
+         "unknown-key", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):

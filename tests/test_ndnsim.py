@@ -302,10 +302,34 @@ def test_relink_latency_validated(latency, reason):
         run_scenario(parse_scenario(text))
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("content c origin=origin size=1 size=70000 category=public-traffic",
+         "repeated key 'size'"),
+        ("content c origin=origin size=1 category=public-traffic category=v2x-private",
+         "repeated key 'category'"),
+        ("request t=1 t=9 requester=vehicle1 name=clip", "repeated key 't'"),
+        ("link origin vehicle1 latency=1 lattency=50", "unknown key 'lattency'"),
+        ("node car kind=vehicle capacity=0 colour=red", "unknown key 'colour'"),
+        ("request t=1 requester=vehicle1 name=clip prio=9", "unknown key 'prio'"),
+        ("tamper t=1 node=rsu1 name=clip latency=3", "unknown key 'latency'"),
+        ("unlink t=1 a=rsu1 b=rsu2 latency=3", "unknown key 'latency'"),
+        ("relink t=1 a=rsu1 b=rsu2 latency=3 a=rsu3", "repeated key 'a'"),
+    ],
+)
+def test_scenario_keys_are_declared_and_unique(line, message):
+    text = line5(CONTENT) + line + "\n"
+    number = text.count("\n")
+    with pytest.raises(ScenarioError, match=f"^line {number}: {message}$"):
+        parse_scenario(text)
+
+
 @pytest.mark.parametrize("kind", ["unlink", "relink"])
 @pytest.mark.parametrize(("a", "b"), [("ghost", "rsu1"), ("rsu1", "ghost")])
 def test_edits_reject_unknown_nodes(kind, a, b):
-    text = line5(CONTENT + f"{kind} t=1 a={a} b={b} latency=5\n")
+    latency = " latency=5" if kind == "relink" else ""  # unlink takes no latency
+    text = line5(CONTENT + f"{kind} t=1 a={a} b={b}{latency}\n")
     with pytest.raises(ScenarioError, match=f"^{kind} references unknown node 'ghost'$"):
         run_scenario(parse_scenario(text))
 
