@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from tskpabe.envelope import DEFAULT_CHUNK_SIZE
 from tskpabe.groups import DEFAULT_MODULUS, parse_suite
 from tskpabe.ndnsim import FIVE_NODE_LINE, DataCategory
 from tskpabe.scheme import DEFAULT_DEPTH, Mode
+from tskpabe.subscription import RevocationLedger
 
 SUITE = "transparent:2147483647"
 
@@ -765,6 +767,43 @@ def test_malformed_ledger_line_is_usage_error(capsys, tmp_path):
         )
         assert code == 1 and out == ""
         assert err.startswith("error: ledger line 2: ") and err.count("\n") == 1
+
+
+# The benchmark CLI day's ledger script: each step's arguments, exit code and
+# stdout, then the ledger file's size and SHA-256 after it.
+_LEDGER_DAY = (
+    (("revoke", "--pid", "pid:a1", "--expiry", "2022-07-04", "--now", "2022-07-05"), 0,
+     "revoked pid=pid:a1 expiry=2022-07-04 duplicate=0\n",
+     217, "1afc6f1a1837b92b5d5293041784a7356afcf7c11e87ceb42ad12df35d69360b"),
+    (("revoke", "--pid", "pid:b2", "--expiry", "2022-09-02", "--now", "2022-07-05"), 0,
+     "revoked pid=pid:b2 expiry=2022-09-02 duplicate=0\n",
+     498, "c309760eefbaca4626f43dd5c4f408749fdd16bf5ed515906617d7250f53f76c"),
+    (("revoke", "--pid", "pid:c3", "--expiry", "2022-09-30", "--now", "2022-07-05"), 0,
+     "revoked pid=pid:c3 expiry=2022-09-30 duplicate=0\n",
+     779, "31d0c1ddc7a245a026e727c020d8c4ffe650ff42452f130bb764ea928820372a"),
+    (("check", "--pid", "pid:b2", "--now", "2022-07-05"), 2, "pid=pid:b2 status=revoked\n",
+     779, "31d0c1ddc7a245a026e727c020d8c4ffe650ff42452f130bb764ea928820372a"),
+    (("check", "--pid", "pid:d4", "--now", "2022-07-05"), 0, "pid=pid:d4 status=active\n",
+     779, "31d0c1ddc7a245a026e727c020d8c4ffe650ff42452f130bb764ea928820372a"),
+    (("prune", "--now", "2022-07-05"), 0, "removed=1 remaining=2\n",
+     612, "08cbc0e148befbf0c1000fe1bdc6f621c213cc93302cf9a370ff5a43ac50e4b2"),
+    (("check", "--pid", "pid:a1", "--now", "2022-07-05"), 0, "pid=pid:a1 status=active\n",
+     612, "08cbc0e148befbf0c1000fe1bdc6f621c213cc93302cf9a370ff5a43ac50e4b2"),
+    (("revoke", "--pid", "pid:e5", "--expiry", "2022-12-31", "--now", "2022-07-05"), 0,
+     "revoked pid=pid:e5 expiry=2022-12-31 duplicate=0\n",
+     893, "ca7c4fc03c80144e5cf4e4b15de09f31474d478ebb13c74b9877d66a140ab2b8"),
+)
+
+
+def test_ledger_day_file_bytes_known_answer(capsys, tmp_path):
+    """After each command of the day, the file holds exactly the canonical
+    text of the ledger it loads as, and the bytes pinned here."""
+    ledger = tmp_path / "ledger.jsonl"
+    for (command, *args), code, stdout, size, digest in _LEDGER_DAY:
+        assert run(capsys, command, "--ledger", str(ledger), *args) == (code, stdout, "")
+        data = ledger.read_bytes()
+        assert data == RevocationLedger.load(ledger).to_text().encode()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_parser_defaults_match_program_constants(capsys, tmp_path, keyring):

@@ -194,6 +194,25 @@ def test_ledger_text_roundtrip(tmp_path):
     assert loaded.lookup("pid:8") is not None
 
 
+def test_ledger_save_replaces_a_longer_file_and_creates_a_missing_one(tmp_path):
+    ledger = RevocationLedger()
+    ledger.revoke("pid:7", (2022, 9, 2), now=(2022, 7, 10))
+    path = tmp_path / "ledger.jsonl"
+    path.write_bytes(b"x" * 5000)
+    ledger.save(path)
+    assert path.read_bytes() == ledger.to_text().encode()
+    ledger.revoke("pid:8", (2022, 6, 2), now=(2022, 7, 10))
+    ledger.revoke("pid:9", (2022, 6, 3), now=(2022, 7, 10))
+    ledger.save(path)
+    assert ledger.prune((2022, 7, 10)) == 2
+    assert len(ledger.to_text()) < path.stat().st_size
+    ledger.save(path)
+    assert path.read_bytes() == ledger.to_text().encode()
+    missing = tmp_path / "new.jsonl"
+    ledger.save(missing)
+    assert missing.read_bytes() == ledger.to_text().encode()
+
+
 @pytest.mark.parametrize(
     "bad",
     [
