@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 from . import Record
 from .timetree import Day, TimeWindow, format_day, parse_day, set_cover, validate_day
@@ -279,8 +280,21 @@ class RevocationLedger(Record, frozen=False):
         return ledger
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+        """Write ``to_text()`` over the file from its start, creating it if
+        missing, then cut the file at the end of what was written.
+
+        The file is never truncated to zero first.  On ext4 (default
+        ``auto_da_alloc``), closing a file truncated to zero forces a flush,
+        and the next truncating open of that file waits for it, ≈50 ms per
+        ledger command.  Rewritten in place, a save cut short leaves the new
+        text's prefix over the old text's tail: that loads as the old
+        ledger or the new one, or fails closed on a malformed line or a
+        broken chain.  A truncating save cut short could leave an empty file
+        or a lone prune block, a valid ledger with no entries."""
+        data = self.to_text().encode("utf-8")
+        with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
+            fh.write(data)
+            fh.truncate()
 
     @classmethod
     def load(cls, path) -> "RevocationLedger":

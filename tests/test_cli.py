@@ -1,3 +1,4 @@
+import builtins
 import hashlib
 import json
 import os
@@ -795,15 +796,33 @@ _LEDGER_DAY = (
 )
 
 
-def test_ledger_day_file_bytes_known_answer(capsys, tmp_path):
+def test_ledger_day_file_bytes_known_answer(capsys, tmp_path, monkeypatch):
     """After each command of the day, the file holds exactly the canonical
-    text of the ledger it loads as, and the bytes pinned here."""
+    text of the ledger it loads as, and the bytes pinned here.  No command
+    opens a file truncating: on ext4 a truncating open of the ledger waits
+    for the flush that closing the previous truncated one started."""
+    truncating = []
+    real_open, real_os_open = builtins.open, os.open
+
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            truncating.append((file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    def guarded_os_open(path, flags, *args, **kwargs):
+        if flags & os.O_TRUNC:
+            truncating.append((path, flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    monkeypatch.setattr(os, "open", guarded_os_open)
     ledger = tmp_path / "ledger.jsonl"
     for (command, *args), code, stdout, size, digest in _LEDGER_DAY:
         assert run(capsys, command, "--ledger", str(ledger), *args) == (code, stdout, "")
         data = ledger.read_bytes()
         assert data == RevocationLedger.load(ledger).to_text().encode()
         assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    assert truncating == []
 
 
 def test_parser_defaults_match_program_constants(capsys, tmp_path, keyring):

@@ -213,6 +213,43 @@ def test_ledger_save_replaces_a_longer_file_and_creates_a_missing_one(tmp_path):
     assert missing.read_bytes() == ledger.to_text().encode()
 
 
+def _outcome(text: str, old: str, new: str) -> str:
+    """What a reader makes of a ledger file: the old ledger, the new one, a
+    refusal (malformed line or broken chain), or some other valid ledger."""
+    try:
+        ledger = RevocationLedger.from_text(text)
+    except ValueError:
+        return "refused"
+    if not ledger.verify():
+        return "refused"
+    return {old: "old", new: "new"}.get(ledger.to_text(), "other")
+
+
+def test_interrupted_save_loads_old_or_new_or_fails_closed():
+    """``save`` writes the new text from offset 0 over the old file, so a
+    save cut after n bytes leaves ``new[:n] + old[n:]``; then it cuts the
+    file to ``new``.  On the benchmark CLI day's prune save (shorter than
+    the file) and the revoke save after it (longer), no cut point yields a
+    valid ledger other than the two."""
+    ledger = RevocationLedger()
+    for pid, expiry in (("pid:a1", (2022, 7, 4)), ("pid:b2", (2022, 9, 2)),
+                        ("pid:c3", (2022, 9, 30))):
+        ledger.revoke(pid, expiry, (2022, 7, 5))
+    texts = [ledger.to_text()]
+    assert ledger.prune((2022, 7, 5)) == 1
+    texts.append(ledger.to_text())
+    ledger.revoke("pid:e5", (2022, 12, 31), (2022, 7, 5))
+    texts.append(ledger.to_text())
+    for old, new in zip(texts, texts[1:]):
+        states = [new[:n] + old[n:] for n in range(len(new) + 1)] + [new]
+        outcomes = {_outcome(text, old, new) for text in states}
+        assert outcomes == {"old", "new", "refused"}
+    # A save that truncated the file first could be cut at any prefix of the
+    # new text: an empty file or the lone prune block is an empty ledger.
+    old, new = texts[:2]
+    assert _outcome("", old, new) == _outcome(new[:new.index("\n") + 1], old, new) == "other"
+
+
 @pytest.mark.parametrize(
     "bad",
     [
