@@ -36,7 +36,8 @@ carries no bytes: it is its ``ContentConfig``, its directory hash digests
 the seed, origin, name and size, and a copy keeps only its size and
 whether it still matches, so a delivery hashes nothing.  A content may span
 at most ``MAX_CHUNKS`` chunks, which bounds the ``ev=data`` lines of one
-delivery.
+delivery, and a run's scheduled requests at most ``MAX_RUN_CHUNKS`` chunks
+in all, which bounds the ``ev=data`` lines (and so the memory) of a run.
 """
 
 import hashlib
@@ -141,6 +142,9 @@ DEFAULT_LATENCY_MS = 10
 DEFAULT_CHUNK_SIZE = 65536
 DEFAULT_HOP_BUDGET = 1_000_000
 MAX_CHUNKS = 1 << 16  # per content, so one delivery logs at most this many ev=data
+# Chunks summed over a run's scheduled requests, so a run logs at most this
+# many ev=data lines (≈130 bytes each, held until run() returns).
+MAX_RUN_CHUNKS = 1 << 20
 
 
 # ----------------------------------------------------------------------
@@ -511,6 +515,7 @@ class Simulation:
             raise ScenarioError("topology must be connected")
 
         self.contents: dict[str, ContentConfig] = {}
+        spans: dict[str, int] = {}  # name -> chunks, as _deliver logs them
         for cc in config.contents:
             if cc.name in self.contents:
                 raise ScenarioError(f"duplicate content name {cc.name!r}")
@@ -521,11 +526,21 @@ class Simulation:
                 raise ScenarioError(f"content origin {cc.origin!r} must be a server")
             if cc.size < 0:
                 raise ScenarioError(f"content {cc.name!r} has negative size {cc.size}")
-            if -(-cc.size // config.chunk_size) > MAX_CHUNKS:
+            spans[cc.name] = max(1, -(-cc.size // config.chunk_size))
+            if spans[cc.name] > MAX_CHUNKS:
                 raise ScenarioError(
                     f"content {cc.name!r} spans more than {MAX_CHUNKS} chunks"
                 )
             self.contents[cc.name] = cc
+        # A request is delivered at most once, so this bounds the run's
+        # ev=data lines whatever the topology does.
+        scheduled = sum(
+            spans.get(op.params.get("name"), 0) for op in config.schedule if op.kind == "request"
+        )
+        if scheduled > MAX_RUN_CHUNKS:
+            raise ScenarioError(
+                f"scheduled requests span {scheduled} chunks, more than {MAX_RUN_CHUNKS}"
+            )
 
         self._build_directories()
         self._preload_defaults()

@@ -988,9 +988,10 @@ def test_commands_generate_no_code_at_import(tmp_path, workspace, argv):
 _NESTED = "(" * 1200 + "gold" + ")" * 1200
 
 # Scenarios with a setting out of range, a content too large or at the
-# chunk bound, an edit of an unknown node, or a repeated or unknown key, and
-# an event log whose served line lacks its other fields.  The chunk bound holds for a chunk-size line
-# that comes after the content.
+# chunk bound, requests over the run's chunk budget (17 of 65,536 chunks),
+# an edit of an unknown node, or a repeated or unknown key, and an event log
+# whose served line lacks its other fields.  The chunk bound holds for a
+# chunk-size line that comes after the content.
 _BAD_SCENARIOS = {
     "zero_chunk": "chunk-size 0\n" + _SCENARIO,
     "negative_chunk": "chunk-size -5\n" + _SCENARIO,
@@ -1001,6 +1002,8 @@ _BAD_SCENARIOS = {
     "huge_size": _SCENARIO.replace("size=4000", f"size={10**30}"),
     "over_chunks": _SCENARIO.replace("size=4000", "size=65537") + "chunk-size 1\n",
     "max_chunks": _SCENARIO.replace("size=4000", "size=65536") + "chunk-size 1\n",
+    "over_run_chunks": _SCENARIO.replace("size=4000", "size=65536") + "chunk-size 1\n"
+    + "request t=2 requester=vehicle1 name=clip\n" * 16,
     "short_log": "ev=served seq=1\n",
     "repeated_key": _SCENARIO.replace("size=4000", "size=1 size=4000"),
     "unknown_key": _SCENARIO + "request t=2 requester=vehicle1 name=clip prio=9\n",
@@ -1045,6 +1048,8 @@ _BAD_SCENARIOS = {
         (["sim", "run", "{over_chunks}"], 1,
          "error: content 'clip' spans more than 65536 chunks"),
         (["sim", "run", "{max_chunks}"], 0, ""),
+        (["sim", "run", "{over_run_chunks}"], 1,
+         "error: scheduled requests span 1114112 chunks, more than 1048576"),
         (["sim", "replay", "{short_log}"], 1, "error: event line 1: no field 't'"),
         (["sim", "run", "{repeated_key}"], 1, "error: line 11: repeated key 'size'"),
         (["sim", "run", "{unknown_key}"], 1, "error: line 13: unknown key 'prio'"),
@@ -1064,7 +1069,7 @@ _BAD_SCENARIOS = {
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
          "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "huge-size",
-         "over-max-chunks", "at-max-chunks", "malformed-event-log", "repeated-key",
+         "over-max-chunks", "at-max-chunks", "over-run-chunks", "malformed-event-log", "repeated-key",
          "unknown-key", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )

@@ -7,6 +7,7 @@ import pytest
 
 from tskpabe.ndnsim import (
     FIVE_NODE_LINE,
+    MAX_RUN_CHUNKS,
     CachedCopy,
     DataCategory,
     Level,
@@ -368,6 +369,23 @@ def test_build_memory_does_not_grow_with_content_size():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) < 2**20
+
+
+def test_scheduled_requests_are_bounded_in_chunks():
+    """Requests for a 65,536-chunk content fill the run's chunk budget at
+    16; a 17th is refused before anything runs.  A request for an unknown
+    name logs no data and counts for nothing."""
+    full = MAX_RUN_CHUNKS // 65536
+    assert full == 16
+    content = "chunk-size 1\n" + line5(
+        "content /big origin=origin size=65536 category=public-traffic\n"
+    )
+    at_bound = content + "request t=1 requester=vehicle1 name=/big\n" * full
+    Simulation(parse_scenario(at_bound + "request t=2 requester=vehicle1 name=/nothere\n"))
+    over = at_bound + "request t=2 requester=vehicle1 name=/big\n"
+    message = f"scheduled requests span {MAX_RUN_CHUNKS + 65536} chunks, more than {MAX_RUN_CHUNKS}"
+    with pytest.raises(ScenarioError, match=f"^{message}$"):
+        Simulation(parse_scenario(over))
 
 
 def test_replay_matches_run():
