@@ -285,7 +285,7 @@ class RevocationLedger(Record, frozen=False):
 
         The file is never truncated to zero first.  On ext4 (default
         ``auto_da_alloc``), closing a file truncated to zero forces a flush,
-        and the next truncating open of that file waits for it, ≈50 ms per
+        and the next truncating open of that file waits for it, ≈60 ms per
         ledger command.  Rewritten in place, a save cut short leaves the new
         text's prefix over the old text's tail: that loads as the old
         ledger or the new one, or fails closed on a malformed line or a

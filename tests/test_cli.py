@@ -799,8 +799,8 @@ _LEDGER_DAY = (
 def test_ledger_day_file_bytes_known_answer(capsys, tmp_path, monkeypatch):
     """After each command of the day, the file holds exactly the canonical
     text of the ledger it loads as, and the bytes pinned here.  No command
-    opens a file truncating: on ext4 a truncating open of the ledger waits
-    for the flush that closing the previous truncated one started."""
+    opens a file with truncation: on ext4 a truncating open of the ledger
+    waits for the flush that closing the previous truncated one started."""
     truncating = []
     real_open, real_os_open = builtins.open, os.open
 
@@ -1069,8 +1069,8 @@ _BAD_SCENARIOS = {
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
          "retired-key", "newline-node", "invalid-now", "zero-chunk-size", "negative-chunk-size",
          "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "huge-size",
-         "over-max-chunks", "at-max-chunks", "over-run-chunks", "malformed-event-log", "repeated-key",
-         "unknown-key", "wide-depth",
+         "over-max-chunks", "at-max-chunks", "over-run-chunks", "malformed-event-log",
+         "repeated-key", "unknown-key", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
