@@ -583,6 +583,12 @@ def test_unknown_command_is_usage_error(capsys):
     assert "usage error" in err
 
 
+def test_help_prints_usage_and_exits_0(capsys):
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: tskpabe ")
+
+
 def test_keygen_needs_identity(capsys, tmp_path, keyring):
     pk, mk, _ = keyring
     code, _, err = run(
@@ -1064,6 +1070,10 @@ _BAD_SCENARIOS = {
           "--out", "{out}", "{content}"], 1, "error: value -1 does not fit an unsigned 64-bit"),
         (["setup", "--attrs", "gold,,family", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
          "error: universe label '' is not an attribute a policy can name"),
+        (["decrypt", "--pk", "{pk}"], 1,
+         "usage error: the following arguments are required: --sk, --ct"),
+        (["keygen", "--pk", "{pk}", "--mk", "{mk}", "--policy", "gold", "--nodes", "2022-08",
+          "--out", "{out}"], 1, "usage error: need --id or --user"),
     ],
     ids=["unknown-attribute", "truncated-pk", "denied", "flipped-chunk", "unknown-issuer",
          "wrong-secret", "edited-ledger", "nested-policy", "long-policy", "nested-key",
@@ -1071,7 +1081,8 @@ _BAD_SCENARIOS = {
          "negative-hop-budget", "negative-seed", "wide-seed", "unlink-unknown-node", "huge-size",
          "over-max-chunks", "at-max-chunks", "over-run-chunks", "malformed-event-log",
          "repeated-key", "unknown-key", "wide-depth",
-         "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label"],
+         "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label",
+         "missing-arguments", "no-identity"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
