@@ -247,7 +247,8 @@ class RevocationLedger(Record, frozen=False):
     @classmethod
     def from_text(cls, text: str) -> "RevocationLedger":
         """Parse the blocks and index their entries by pid, in block order.
-        A line that is not a block, lacks a field, or holds an invalid day,
+        A line that is not a block, nests too deep to parse, lacks a field,
+        or holds a kind other than ``entries`` or ``prune``, an invalid day,
         a stamp without an integer ``/seq`` suffix or a repeated pid raises
         ValueError naming it.  New stamps continue after the largest loaded
         one and the counter a prune block kept.  The chain is not verified
@@ -265,16 +266,19 @@ class RevocationLedger(Record, frozen=False):
                     if type(seq) is not int:
                         raise ValueError(f"prune counter {seq!r} is not an integer")
                     ledger._tx_seq = max(ledger._tx_seq, seq)
-                for payload in block.payload["entries"] if block.kind == "entries" else ():
-                    entry = _entry_from_payload(payload)
-                    seq = int(entry.tx_timestamp.rpartition("/")[2])
-                    if entry.pid in ledger._entries:
-                        raise ValueError(f"pid {entry.pid} listed twice")
-                    ledger._entries[entry.pid] = entry
-                    ledger._tx_seq = max(ledger._tx_seq, seq)
+                elif block.kind == "entries":
+                    for payload in block.payload["entries"]:
+                        entry = _entry_from_payload(payload)
+                        seq = int(entry.tx_timestamp.rpartition("/")[2])
+                        if entry.pid in ledger._entries:
+                            raise ValueError(f"pid {entry.pid} listed twice")
+                        ledger._entries[entry.pid] = entry
+                        ledger._tx_seq = max(ledger._tx_seq, seq)
+                else:
+                    raise ValueError(f"unknown block kind {block.kind!r}")
             except KeyError as exc:
                 raise ValueError(f"ledger line {line_no}: missing field {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
+            except (AttributeError, TypeError, ValueError, RecursionError) as exc:
                 raise ValueError(f"ledger line {line_no}: malformed block ({exc})") from None
             ledger.blocks.append(block)
         return ledger

@@ -1070,6 +1070,8 @@ _BAD_SCENARIOS = {
           "--out", "{out}", "{content}"], 1, "error: value -1 does not fit an unsigned 64-bit"),
         (["setup", "--attrs", "gold,,family", "--out-pk", "{out}", "--out-mk", "{out}"], 1,
          "error: universe label '' is not an attribute a policy can name"),
+        (["check", "--ledger", "{deep_ledger}", "--pid", "pid:c3", "--now", "2022-07-06"], 1,
+         "error: ledger line 1: malformed block"),
         (["decrypt", "--pk", "{pk}"], 1,
          "usage error: the following arguments are required: --sk, --ct"),
         (["keygen", "--pk", "{pk}", "--mk", "{mk}", "--policy", "gold", "--nodes", "2022-08",
@@ -1082,7 +1084,7 @@ _BAD_SCENARIOS = {
          "over-max-chunks", "at-max-chunks", "over-run-chunks", "malformed-event-log",
          "repeated-key", "unknown-key", "wide-depth",
          "wide-universe", "wide-chunk-size", "negative-timestamp", "empty-label",
-         "missing-arguments", "no-identity"],
+         "deep-ledger", "missing-arguments", "no-identity"],
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
@@ -1097,6 +1099,7 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
     (tmp_path / "flipped.pkg").write_bytes(bytes(flipped))
     ledger = Path(workspace["ledger"]).read_text().replace('"pid:c3"', '"pid:c4"')
     (tmp_path / "edited.jsonl").write_text(ledger)
+    (tmp_path / "deep.jsonl").write_text("[" * 200000)
     # A private key is the 16-byte header, marker 2, the 4-byte pid, then
     # its policy text; marker 1 is the retired matrix format.
     key = Path(workspace["sk"]).read_bytes()
@@ -1113,7 +1116,8 @@ def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stde
         key[:text_end + 2] + (8).to_bytes(4, "big") + b"2022-07\n" + key[text_end + 13:]
     )
     paths = dict(workspace, short_pk=short_pk, flipped_pkg=tmp_path / "flipped.pkg",
-                 edited_ledger=tmp_path / "edited.jsonl", nested_sk=tmp_path / "nested-sk.bin",
+                 edited_ledger=tmp_path / "edited.jsonl", deep_ledger=tmp_path / "deep.jsonl",
+                 nested_sk=tmp_path / "nested-sk.bin",
                  retired_sk=tmp_path / "retired-sk.bin", newline_sk=tmp_path / "newline-sk.bin",
                  out=tmp_path / "out.bin")
     for name, text in _BAD_SCENARIOS.items():

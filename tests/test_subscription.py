@@ -269,6 +269,9 @@ def test_interrupted_save_loads_old_or_new_or_fails_closed():
         # a prune block whose stamp counter is not an integer
         '{"index":1,"kind":"prune","prev":"","payload":{"tx_seq":"3"},"digest":""}',
         '{"index":1,"kind":"prune","prev":"","payload":{"tx_seq":1e999},"digest":""}',
+        # nesting too deep for the parser, and a block kind the ledger never writes
+        pytest.param("[" * 100000, id="deep-nesting"),
+        '{"index":1,"kind":"Entries","prev":"","payload":{"entries":[]},"digest":""}',
     ],
 )
 def test_malformed_ledger_line_names_its_number(bad):
