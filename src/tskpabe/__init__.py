@@ -7,6 +7,17 @@ from operator import attrgetter
 
 _set = object.__setattr__
 
+EXIT_OK = 0
+EXIT_USAGE = 1
+EXIT_DENIED = 2
+EXIT_INTEGRITY = 3
+EXIT_VERIFICATION = 4
+
+
+class ProgramError(Exception):
+    """An outcome a command reports: each subclass declares its ``exit_code``
+    and ``prefix``, and ``cli.main`` prints ``prefix: message`` on stderr."""
+
 
 class Record:
     """Base of the program's value records, built without generating code.

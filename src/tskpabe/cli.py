@@ -1,29 +1,28 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 usage error, 2 access denied, 3 integrity
-failure, 4 verification failure.  Every subcommand is deterministic given
-``--seed`` and its inputs.
+Exit codes: 0 success, 1 usage error, 2 access denied, 3 integrity failure,
+4 verification failure; each error class carries its code and stderr prefix.
+Every subcommand is deterministic given ``--seed`` and its inputs.
 """
 
 import argparse
-import importlib
 import os
 import sys
 from random import Random
 
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DENIED = 2
-EXIT_INTEGRITY = 3
-EXIT_VERIFICATION = 4
+from . import EXIT_DENIED, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, ProgramError
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ProgramError):
+    exit_code = EXIT_USAGE
+    prefix = "usage error"
 
 
-class LedgerChainError(Exception):
+class LedgerChainError(ProgramError):
     """The revocation ledger's digest chain does not verify."""
+
+    exit_code = EXIT_VERIFICATION
+    prefix = "verification failure"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,13 +55,6 @@ def _scheme_for(pk):
     from .scheme import TimedKpAbe
 
     return TimedKpAbe(pk.suite, pk.mode)
-
-
-def _error_class(module: str, name: str) -> type:
-    """Error class ``name`` of program module ``module``.  Python evaluates an
-    ``except`` clause's class only while matching a raised exception, so a
-    command that succeeds never imports a module for its error classes."""
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def _add_seed(parser):
@@ -631,29 +623,14 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LedgerChainError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    except ProgramError as exc:  # args[0], as str() of a KeyError quotes it
+        print(f"{exc.prefix}: {exc.args[0]}", file=sys.stderr)
+        return exc.exit_code
     except SystemExit as exc:
         return EXIT_OK if exc.code in (None, 0) else EXIT_USAGE
     except (ValueError, OSError) as exc:  # wire.WireError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _error_class("scheme", "UnknownAttributeError") as exc:
-        print(f"usage error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
-    except _error_class("envelope", "AccessDeniedError") as exc:
-        print(f"access denied: {exc}", file=sys.stderr)
-        return EXIT_DENIED
-    except _error_class("envelope", "IntegrityError") as exc:
-        print(f"integrity failure: {exc}", file=sys.stderr)
-        return EXIT_INTEGRITY
-    except _error_class("envelope", "UnknownIssuerError") as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

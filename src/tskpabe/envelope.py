@@ -27,7 +27,7 @@ import hmac
 from collections.abc import Mapping
 from random import Random
 
-from . import Record
+from . import EXIT_DENIED, EXIT_INTEGRITY, EXIT_VERIFICATION, ProgramError, Record
 from .scheme import Ciphertext, PrivateKey, PublicParams, TimedKpAbe, ct_from_bytes, ct_to_bytes
 from .timetree import TimeCover
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
@@ -43,20 +43,29 @@ _DIRECTORY_MAGIC = b"TKDR"
 _NONCE_BYTES = 16
 
 
-class AccessDeniedError(Exception):
+class AccessDeniedError(ProgramError):
     """The wrapped key refused to open for this private key."""
 
+    exit_code = EXIT_DENIED
+    prefix = "access denied"
 
-class IntegrityError(Exception):
+
+class IntegrityError(ProgramError):
     """Stored bytes disagree with their pinned digest."""
+
+    exit_code = EXIT_INTEGRITY
+    prefix = "integrity failure"
 
     def __init__(self, message: str, part: str | None = None):
         super().__init__(message)
         self.part = part
 
 
-class UnknownIssuerError(Exception):
+class UnknownIssuerError(ProgramError):
     """Directory signed by an issuer we have no key for."""
+
+    exit_code = EXIT_VERIFICATION
+    prefix = "verification failure"
 
 
 def sha256(data: bytes) -> bytes:

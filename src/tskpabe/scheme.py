@@ -38,7 +38,7 @@ from functools import cached_property
 from itertools import chain
 from random import Random
 
-from . import Record, lsss
+from . import EXIT_USAGE, ProgramError, Record, lsss
 from .groups import SourceElement, SuiteMismatchError, TargetElement, TransparentSuite
 from .lsss import AccessStructure
 from .timetree import TimeCover, TimeNode
@@ -63,8 +63,11 @@ class ModeMismatchError(ValueError):
     """Keys and ciphertexts from different modes are incompatible."""
 
 
-class UnknownAttributeError(KeyError):
+class UnknownAttributeError(ProgramError, KeyError):
     """An attribute label outside the public parameters' universe."""
+
+    exit_code = EXIT_USAGE
+    prefix = "usage error"
 
 
 class PublicParams(Record):

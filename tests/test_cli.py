@@ -1088,10 +1088,9 @@ _BAD_SCENARIOS = {
 )
 def test_exit_codes_in_a_fresh_interpreter(tmp_path, workspace, argv, code, stderr):
     """Each documented exit code, from ``python -m tskpabe.cli`` with nothing
-    imported beforehand: the error classes load only on the error path, so
-    this is where a fault in that path shows.  A wrong directory secret
-    reports ok=0 on stdout and a run at the chunk bound its summary; neither
-    prints to stderr."""
+    imported beforehand, so each outcome is reported with only the modules
+    its command loaded.  A wrong directory secret reports ok=0 on stdout and
+    a run at the chunk bound its summary; neither prints to stderr."""
     short_pk = tmp_path / "short-pk.bin"
     short_pk.write_bytes(Path(workspace["pk"]).read_bytes()[:40])
     flipped = bytearray(Path(workspace["pkg"]).read_bytes())
